@@ -13,7 +13,7 @@ from trimodal import config as C
 from trimodal.checkpoint import load_checkpoint
 from trimodal.data import generate_synthetic
 from trimodal.evaluate import evaluate_all_splits, train_probe
-from trimodal.train import _stack_from_config, pretrain
+from trimodal.train import pretrain
 
 root = Path(tempfile.mkdtemp())
 cfg = C.resolve_config(overrides={
@@ -43,7 +43,7 @@ for mode in ("video", "audio+video"):
           f"(splits: {[round(rep.splits[s].top1, 3) for s in rep.splits]})")
 
 print("\n== untrained baseline for contrast ==")
-random_stack = _stack_from_config(cfg, 1)
+random_stack = C.encoder_stack(cfg, 1)
 head = train_probe(random_stack, man, "video", pc)
 rep = evaluate_all_splits(random_stack, head, man, clips_per_video=4, seed=1234)
 print(f"random-init video probe: {rep.mean_top1:.3f} (chance = {1/4})")

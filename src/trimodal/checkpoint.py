@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import config as cfg_mod
 from . import ltf
 from .encoders import EncoderStack
 from .errors import FormatError
@@ -102,14 +103,9 @@ def load_checkpoint(path) -> Checkpoint:
         if required not in entries:
             raise FormatError(f"{path}: missing entry {required!r}")
     blob = json.loads(entries["config"].tobytes().decode("utf-8"))
-    config = blob["config"]
+    config = cfg_mod.validate(blob["config"])
     stack = EncoderStack(seed=0, **blob["stack_dims"])
-    optim_cfg = config.get("optim", {})
-    adam = Adam(stack.parameters(),
-                beta1=optim_cfg.get("beta1", 0.9),
-                beta2=optim_cfg.get("beta2", 0.999),
-                eps=optim_cfg.get("eps", 1e-8),
-                grad_clip=optim_cfg.get("grad_clip", 0.0))
+    adam = cfg_mod.adam(config, stack.parameters())
     for name, p in stack.parameters():
         for prefix, target in (("param.", None), ("adam.m.", adam.m), ("adam.v.", adam.v)):
             key = prefix + name

@@ -97,10 +97,10 @@ def _cmd_eval(args) -> int:
                               f"requested {args.mode!r}")
     else:
         head = train_probe(ck.stack, manifest, args.mode, probe_cfg)
-    clips = args.clips if args.clips is not None else int(cfg["eval"]["clips_per_video"])
+    clips = args.clips if args.clips is not None else cfg["eval"]["clips_per_video"]
     splits = ("test1",) if args.splits == "1" else ("test1", "test2", "test3")
     report = evaluate_all_splits(ck.stack, head, manifest, clips_per_video=clips,
-                                 seed=int(cfg["eval"]["eval_seed"]), splits=splits)
+                                 seed=cfg["eval"]["eval_seed"], splits=splits)
     text = json.dumps(report.to_dict(), indent=2)
     print(text)
     if args.out:

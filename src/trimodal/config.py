@@ -1,92 +1,97 @@
-"""Single JSON config document with sections {data, model, loss, optim,
-train, eval}. Every field has a documented default; unknown keys are
-rejected with their dotted path. The fully resolved document is echoed into
-training logs and checkpoints.
+"""The JSON config document, sections {data, model, loss, optim, train, eval}.
+
+`SCHEMA` holds one row per field: its default, type and interval.
+`DEFAULTS` and `validate` are generated from the rows, and the section
+objects (`SyntheticConfig`, `LossConfig`, `ProbeConfig`, `EncoderStack`,
+`Adam`, `CosineSchedule`) take their defaults and checks from them. Unknown
+keys are rejected with their dotted path; checkpoints store the resolved
+document.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import math
 from pathlib import Path
 
-from .data import SyntheticConfig
 from .errors import ConfigError
-from .evaluate import ProbeConfig
-from .losses import LossConfig
 
-DEFAULTS: dict = {
+TERMS = ("av", "vt", "avt")
+
+# key: (default, type, interval). `int` excludes booleans; `float` is any
+# finite number; a default of None also admits null; `list` is a nonempty
+# list drawn from TERMS. An interval of None leaves the value unbounded.
+SCHEMA: dict = {
     "data": {
-        "n_samples": 480,
-        "n_classes": 8,
-        "seed": 42,
-        "t_video": 12,
-        "d_video": 24,
-        "t_audio": 12,
-        "d_audio": 20,
-        "l_text": 8,
-        "vocab": 64,
-        "p_available": 0.625,
-        "sigma_video": 0.0625,
-        "template_scale_video": 0.125,
-        "mean_signal_video": 0.01,
-        "offset_sigma_video": 0.0,
-        "sigma_audio": 0.5,
-        "text_informativeness": 0.9,
-        "independent_availability": False,
+        "n_samples": (480, int, "[1, inf)"),
+        "n_classes": (8, int, "[2, inf)"),
+        "seed": (42, int, None),
+        "t_video": (12, int, "[1, inf)"),
+        "d_video": (24, int, "[1, inf)"),
+        "t_audio": (12, int, "[1, inf)"),
+        "d_audio": (20, int, "[1, inf)"),
+        "l_text": (8, int, "[1, inf)"),
+        "vocab": (64, int, "[1, inf)"),
+        "p_available": (0.625, float, "[0, 1]"),
+        "sigma_video": (0.0625, float, "[0, inf)"),
+        "template_scale_video": (0.125, float, "[0, inf)"),
+        "mean_signal_video": (0.01, float, "[0, inf)"),
+        "offset_sigma_video": (0.0, float, "[0, inf)"),
+        "sigma_audio": (0.5, float, "[0, inf)"),
+        "text_informativeness": (0.9, float, "[0, 1]"),
+        "independent_availability": (False, bool, None),
     },
     "model": {
-        "d_model": 64,
-        "n_heads": 4,
-        "n_layers": 2,
-        "d_ff": None,           # None -> 2 * d_model
-        "d_proj": 32,
-        "audio_hidden": None,   # None -> d_model
-        "max_text_len": 128,
+        "d_model": (64, int, "[1, inf)"),
+        "n_heads": (4, int, "[1, inf)"),
+        "n_layers": (2, int, "[0, inf)"),
+        "d_ff": (None, int, "[1, inf)"),          # None -> 2 * d_model
+        "d_proj": (32, int, "[1, inf)"),
+        "audio_hidden": (None, int, "[1, inf)"),  # None -> d_model
+        "max_text_len": (128, int, "[1, inf)"),
     },
     "loss": {
-        "tau": 0.07,
-        "terms": ["av", "vt", "avt"],
-        "weights": {"av": 1.0, "vt": 1.0, "avt": 1.0},
+        "tau": (0.07, float, "(0, inf)"),
+        "terms": (list(TERMS), list, None),
+        "weights": {term: (1.0, float, None) for term in TERMS},
     },
     "optim": {
-        "lr_max": 1e-3,
-        "lr_min": 0.0,
-        "warmup_steps": 0,
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "eps": 1e-8,
-        "grad_clip": 0.0,
+        "lr_max": (1e-3, float, "[0, inf)"),
+        "lr_min": (0.0, float, "[0, inf)"),
+        "warmup_steps": (0, int, "[0, inf)"),
+        "beta1": (0.9, float, "[0, 1)"),
+        "beta2": (0.999, float, "[0, 1)"),
+        "eps": (1e-8, float, "(0, inf)"),
+        "grad_clip": (0.0, float, "[0, inf)"),    # 0 = off
     },
     "train": {
-        "epochs": 25,
-        "batch_size": 32,
-        "seed": None,           # must be provided (config or --seed): determinism contract
-        "checkpoint_every": 0,  # epochs between intermediate checkpoints; 0 = final only
-        "augment_sigma_audio": 0.25,
+        "epochs": (25, int, "[1, inf)"),
+        "batch_size": (32, int, "[2, inf)"),
+        "seed": (None, int, None),                # must be set (config or --seed) to pre-train
+        "checkpoint_every": (0, int, "[0, inf)"),  # epochs between checkpoints; 0 = final only
+        "augment_sigma_audio": (0.25, float, "[0, inf)"),
     },
     "eval": {
-        "clips_per_video": 4,
-        "probe_lr": 1e-4,
-        "probe_batch_size": 32,
-        "probe_epochs": 300,
-        "probe_seed": 7,
-        "eval_seed": 1234,
+        "clips_per_video": (4, int, "[1, inf)"),
+        "probe_lr": (1e-4, float, "(0, inf)"),
+        "probe_batch_size": (32, int, "[1, inf)"),
+        "probe_epochs": (300, int, "[1, inf)"),
+        "probe_seed": (7, int, None),
+        "eval_seed": (1234, int, None),
     },
 }
 
-_NUMERIC = (int, float)
+_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
+               list: f"a nonempty list drawn from {list(TERMS)}"}
 
 
-def _check_unknown(user: dict, defaults: dict, prefix: str = "") -> None:
-    for key, value in user.items():
-        path = f"{prefix}{key}"
-        if key not in defaults:
-            raise ConfigError(f"unknown config key {path!r}")
-        if isinstance(defaults[key], dict) and not isinstance(value, dict):
-            raise ConfigError(f"config key {path!r} must be an object")
-        if isinstance(defaults[key], dict):
-            _check_unknown(value, defaults[key], path + ".")
+def _defaults(schema: dict) -> dict:
+    return {key: _defaults(row) if isinstance(row, dict) else row[0]
+            for key, row in schema.items()}
+
+
+DEFAULTS: dict = _defaults(SCHEMA)
 
 
 def _merge(base: dict, extra: dict) -> dict:
@@ -99,62 +104,75 @@ def _merge(base: dict, extra: dict) -> dict:
     return out
 
 
-def _require_number(cfg: dict, section: str, key: str, positive=False, nonneg=False) -> None:
-    v = cfg[section][key]
-    if isinstance(v, bool) or not isinstance(v, _NUMERIC):
-        raise ConfigError(f"{section}.{key} must be a number, got {v!r}")
-    if positive and not v > 0:
-        raise ConfigError(f"{section}.{key} must be > 0")
-    if nonneg and v < 0:
-        raise ConfigError(f"{section}.{key} must be >= 0")
+def _has_type(value, kind) -> bool:
+    if kind is list:
+        return isinstance(value, list) and bool(value) and all(t in TERMS for t in value)
+    if kind is bool or isinstance(value, bool):
+        return kind is bool and isinstance(value, bool)
+    return isinstance(value, int) or (
+        kind is float and isinstance(value, float) and math.isfinite(value))
 
 
-def validate(cfg: dict) -> dict:
-    _check_unknown(cfg, DEFAULTS)
-    cfg = _merge(DEFAULTS, cfg)
+def _in_interval(value, interval: str) -> bool:
+    lo, hi = (float(end) for end in interval[1:-1].split(", "))
+    return ((lo < value) if interval[0] == "(" else (lo <= value)) and \
+        ((value < hi) if interval[-1] == ")" else (value <= hi))
 
-    for key in ("n_samples", "n_classes", "t_video", "d_video", "t_audio", "d_audio",
-                "l_text", "vocab"):
-        _require_number(cfg, "data", key, positive=True)
-    _require_number(cfg, "data", "p_available", nonneg=True)
-    _require_number(cfg, "data", "sigma_video", nonneg=True)
-    _require_number(cfg, "data", "offset_sigma_video", nonneg=True)
-    _require_number(cfg, "data", "template_scale_video", nonneg=True)
-    _require_number(cfg, "data", "mean_signal_video", nonneg=True)
-    _require_number(cfg, "data", "sigma_audio", nonneg=True)
-    if not (0.0 <= cfg["data"]["p_available"] <= 1.0):
-        raise ConfigError("data.p_available must lie in [0, 1]")
-    if not (0.0 <= cfg["data"]["text_informativeness"] <= 1.0):
-        raise ConfigError("data.text_informativeness must lie in [0, 1]")
 
-    for key in ("d_model", "n_heads", "d_proj", "max_text_len"):
-        _require_number(cfg, "model", key, positive=True)
-    if not isinstance(cfg["model"]["n_layers"], int) or cfg["model"]["n_layers"] < 0:
-        raise ConfigError("model.n_layers must be an integer >= 0")
-    if cfg["model"]["d_model"] % cfg["model"]["n_heads"] != 0:
+def _check(schema: dict, doc: dict, prefix: str) -> None:
+    for key, value in doc.items():
+        path = f"{prefix}{key}"
+        if key not in schema:
+            raise ConfigError(f"unknown config key {path!r}")
+        row = schema[key]
+        if isinstance(row, dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config key {path!r} must be an object")
+            _check(row, value, path + ".")
+            continue
+        default, kind, interval = row
+        if value is None and default is None:
+            continue
+        if not _has_type(value, kind):
+            null = " or null" if default is None else ""
+            raise ConfigError(f"{path} must be {_TYPE_NAMES[kind]}{null}, got {value!r}")
+        if interval and not _in_interval(value, interval):
+            raise ConfigError(f"{path} must lie in {interval}, got {value!r}")
+
+
+def section(name: str, values) -> dict:
+    """`values` over the section's defaults, every key, type, interval and
+    relation between the section's fields checked; also for library callers."""
+    if not isinstance(values, dict):
+        raise ConfigError(f"config key {name!r} must be an object")
+    sec = _merge(DEFAULTS[name], values)
+    _check(SCHEMA[name], sec, name + ".")
+    if name == "data":
+        if sec["n_samples"] < sec["n_classes"]:
+            raise ConfigError("data.n_samples must be >= data.n_classes (one sample per class)")
+        if sec["vocab"] < 2 * sec["n_classes"]:
+            raise ConfigError("data.vocab must be >= 2 * data.n_classes "
+                              "(per-class sub-vocabularies)")
+        if math.factorial(min(sec["t_video"], 20)) < sec["n_classes"]:
+            raise ConfigError("data.t_video too short: classes are position orderings, and "
+                              f"{sec['t_video']} positions admit fewer than "
+                              f"{sec['n_classes']} distinct orders")
+    if name == "model" and sec["d_model"] % sec["n_heads"] != 0:
         raise ConfigError("model.d_model must be divisible by model.n_heads")
-
-    _require_number(cfg, "loss", "tau", positive=True)
-    terms = cfg["loss"]["terms"]
-    if (not isinstance(terms, list) or not terms
-            or any(t not in ("av", "vt", "avt") for t in terms)):
-        raise ConfigError("loss.terms must be a nonempty subset of ['av', 'vt', 'avt']")
-
-    _require_number(cfg, "optim", "lr_max", nonneg=True)
-    _require_number(cfg, "optim", "lr_min", nonneg=True)
-    if cfg["optim"]["lr_max"] < cfg["optim"]["lr_min"]:
+    if name == "optim" and sec["lr_max"] < sec["lr_min"]:
         raise ConfigError("optim.lr_max must be >= optim.lr_min")
+    return sec
 
-    if cfg["train"]["seed"] is not None and not isinstance(cfg["train"]["seed"], int):
-        raise ConfigError("train.seed must be an integer")
-    _require_number(cfg, "train", "epochs", positive=True)
-    if not isinstance(cfg["train"]["batch_size"], int) or cfg["train"]["batch_size"] < 2:
-        raise ConfigError("train.batch_size must be an integer >= 2")
-    _require_number(cfg, "train", "augment_sigma_audio", nonneg=True)
 
-    _require_number(cfg, "eval", "clips_per_video", positive=True)
-    _require_number(cfg, "eval", "probe_lr", positive=True)
-    _require_number(cfg, "eval", "probe_epochs", positive=True)
+def validate(doc: dict) -> dict:
+    """The full document: every section resolved, then checked against the
+    others; raises ConfigError naming the offending dotted key."""
+    for name in doc:
+        if name not in SCHEMA:
+            raise ConfigError(f"unknown config key {name!r}")
+    cfg = {name: section(name, doc.get(name, {})) for name in SCHEMA}
+    if cfg["data"]["l_text"] > cfg["model"]["max_text_len"]:
+        raise ConfigError("data.l_text must be <= model.max_text_len")
     return cfg
 
 
@@ -175,22 +193,40 @@ def load_config_file(path) -> dict:
 def resolve_config(path=None, overrides: dict | None = None) -> dict:
     """Load, merge (file then overrides) and validate; returns the full document."""
     doc = load_config_file(path) if path else {}
-    if overrides:
-        _check_unknown(overrides, DEFAULTS)
-        doc = _merge(doc, overrides)
-    return validate(doc)
+    return validate(_merge(doc, overrides or {}))
 
 
-def synthetic_config(cfg: dict) -> SyntheticConfig:
+# Builders from a resolved document. They import their classes on call,
+# because those modules import this one for their defaults.
+
+def synthetic_config(cfg: dict):
+    from .data import SyntheticConfig
     return SyntheticConfig(**cfg["data"])
 
 
-def loss_config(cfg: dict) -> LossConfig:
-    return LossConfig(tau=cfg["loss"]["tau"], enabled_terms=tuple(cfg["loss"]["terms"]),
-                      term_weights=dict(cfg["loss"]["weights"]))
+def encoder_stack(cfg: dict, seed: int):
+    from .encoders import EncoderStack
+    d = cfg["data"]
+    return EncoderStack(d_video_raw=d["d_video"], d_audio_raw=d["d_audio"], vocab=d["vocab"],
+                        seed=seed, **cfg["model"])
 
 
-def probe_config(cfg: dict) -> ProbeConfig:
+def loss_config(cfg: dict):
+    from .losses import LossConfig
+    loss = cfg["loss"]
+    return LossConfig(tau=loss["tau"], enabled_terms=tuple(loss["terms"]),
+                      term_weights=dict(loss["weights"]))
+
+
+def adam(cfg: dict, params):
+    from .optim import Adam
+    o = cfg["optim"]
+    return Adam(params, beta1=o["beta1"], beta2=o["beta2"], eps=o["eps"],
+                grad_clip=o["grad_clip"])
+
+
+def probe_config(cfg: dict):
+    from .evaluate import ProbeConfig
     e = cfg["eval"]
     return ProbeConfig(lr=e["probe_lr"], batch_size=e["probe_batch_size"],
-                       epochs=int(e["probe_epochs"]), seed=int(e["probe_seed"]))
+                       epochs=e["probe_epochs"], seed=e["probe_seed"])

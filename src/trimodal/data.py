@@ -15,12 +15,13 @@ same config is bitwise identical, file by file.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
+from .config import section
 from .encoders import ModalityFeatures
 from .errors import ConfigError, FormatError
 from .ltf import load_ltf, save_ltf
@@ -30,39 +31,12 @@ from .tensor import Tensor
 SPLITS = ("train", "test1", "test2", "test3")
 
 
-@dataclass
-class SyntheticConfig:
-    n_samples: int = 480
-    n_classes: int = 8
-    seed: int = 42
-    t_video: int = 12
-    d_video: int = 24
-    t_audio: int = 12
-    d_audio: int = 20
-    l_text: int = 8
-    vocab: int = 64
-    p_available: float = 0.625
-    sigma_video: float = 0.0625
-    template_scale_video: float = 0.125
-    mean_signal_video: float = 0.01
-    offset_sigma_video: float = 0.0
-    sigma_audio: float = 0.5
-    text_informativeness: float = 0.9
-    independent_availability: bool = False
+class SyntheticConfig(SimpleNamespace):
+    """The `data` config section as attributes. Keyword arguments override
+    the schema defaults and are checked like a config document."""
 
-    def __post_init__(self):
-        if not (0.0 <= self.p_available <= 1.0):
-            raise ConfigError("p_available must lie in [0, 1]")
-        if not (0.0 <= self.text_informativeness <= 1.0):
-            raise ConfigError("text_informativeness must lie in [0, 1]")
-        if self.n_classes < 2 or self.n_samples < self.n_classes:
-            raise ConfigError("need >= 2 classes and at least one sample per class")
-        if self.vocab < 2 * self.n_classes:
-            raise ConfigError("vocab too small for per-class sub-vocabularies")
-        if math.factorial(min(self.t_video, 20)) < self.n_classes:
-            raise ConfigError("t_video too short: classes are position orderings, "
-                              f"and {self.t_video} positions admit fewer than "
-                              f"{self.n_classes} distinct orders")
+    def __init__(self, **data):
+        super().__init__(**section("data", data))
 
 
 @dataclass
@@ -85,10 +59,6 @@ class BatchSample:
 @dataclass
 class Batch:
     samples: list[BatchSample]
-
-    @property
-    def labels(self) -> np.ndarray:
-        return np.array([s.label for s in self.samples], dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -197,22 +167,20 @@ def _assign_splits(cfg: SyntheticConfig, labels: np.ndarray) -> list[str]:
     return split_of
 
 
-def sample_video(cfg_like: dict | SyntheticConfig, template: np.ndarray, seed_key: tuple) -> np.ndarray:
+def sample_video(cfg: SyntheticConfig, template: np.ndarray, seed_key: tuple) -> np.ndarray:
     """One video feature block (one clip).
 
     Per-position class template, plus a per-clip offset shared by every
     token (a camera/lighting-style nuisance that linear pooling cannot
     remove), plus elementwise noise. Draw order: offset, then noise.
     """
-    cfg = cfg_like if isinstance(cfg_like, SyntheticConfig) else SyntheticConfig(**cfg_like)
     s = Stream(*seed_key)
     offset = s.normal(template.shape[1], sigma=cfg.offset_sigma_video)
     noise = s.normal(template.shape, sigma=cfg.sigma_video)
     return template + offset[None, :] + noise
 
 
-def sample_audio(cfg_like: dict | SyntheticConfig, template: np.ndarray, seed_key: tuple) -> np.ndarray:
-    cfg = cfg_like if isinstance(cfg_like, SyntheticConfig) else SyntheticConfig(**cfg_like)
+def sample_audio(cfg: SyntheticConfig, template: np.ndarray, seed_key: tuple) -> np.ndarray:
     noise = Stream(*seed_key).normal(template.shape, sigma=cfg.sigma_audio)
     return template + noise
 
@@ -260,7 +228,7 @@ def generate_synthetic(cfg: SyntheticConfig, out_dir, force: bool = False) -> Ma
     save_ltf(out / "templates_audio.ltf", m_audio)
     meta = {
         "format": "trimodal-dataset-v1",
-        "config": asdict(cfg),
+        "config": vars(cfg),
         "templates": {"video": "templates_video.ltf", "audio": "templates_audio.ltf"},
     }
     (out / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
+from .config import section
 from .errors import AvailabilityError, ShapeError
 from .layers import MLP, EmbeddingTable, Linear, TransformerEncoder, mean_pool
 from .tensor import Tensor
@@ -75,28 +76,27 @@ class EmbeddingSet:
 class EncoderStack:
     """All trainable components: front-ends, encoders f_a/f_v/f_t, heads."""
 
-    def __init__(self, *, d_video_raw: int, d_audio_raw: int, vocab: int,
-                 d_model: int = 64, n_heads: int = 4, n_layers: int = 2,
-                 d_ff: int | None = None, d_proj: int = 32,
-                 audio_hidden: int | None = None, max_text_len: int = 128,
-                 seed: int = 0):
-        d_ff = 2 * d_model if d_ff is None else d_ff
-        audio_hidden = d_model if audio_hidden is None else audio_hidden
-        self.dims = {
-            "d_video_raw": d_video_raw, "d_audio_raw": d_audio_raw, "vocab": vocab,
-            "d_model": d_model, "n_heads": n_heads, "n_layers": n_layers,
-            "d_ff": d_ff, "d_proj": d_proj, "audio_hidden": audio_hidden,
-            "max_text_len": max_text_len,
-        }
+    def __init__(self, *, d_video_raw: int, d_audio_raw: int, vocab: int, seed: int = 0,
+                 **model):
+        """`model` takes the config's `model` keys; keys left out take their
+        schema defaults, and every value is checked against the schema."""
+        m = section("model", model)
+        d_model, d_proj = m["d_model"], m["d_proj"]
+        if m["d_ff"] is None:
+            m["d_ff"] = 2 * d_model
+        if m["audio_hidden"] is None:
+            m["audio_hidden"] = d_model
+        self.dims = {"d_video_raw": d_video_raw, "d_audio_raw": d_audio_raw, "vocab": vocab, **m}
         self.d_model = d_model
         self.d_proj = d_proj
-        self.max_text_len = max_text_len
+        self.max_text_len = m["max_text_len"]
+        enc = (d_model, m["n_heads"], m["n_layers"], m["d_ff"], seed)
         self.video_in = Linear(d_video_raw, d_model, seed, "video_in")
-        self.audio_mlp = MLP(d_audio_raw, audio_hidden, d_model, seed, "audio_mlp")
+        self.audio_mlp = MLP(d_audio_raw, m["audio_hidden"], d_model, seed, "audio_mlp")
         self.text_embed = EmbeddingTable(vocab, d_model, seed, "text_embed")
-        self.f_a = TransformerEncoder(d_model, n_heads, n_layers, d_ff, seed, "f_a")
-        self.f_v = TransformerEncoder(d_model, n_heads, n_layers, d_ff, seed, "f_v")
-        self.f_t = TransformerEncoder(d_model, n_heads, n_layers, d_ff, seed, "f_t")
+        self.f_a = TransformerEncoder(*enc, "f_a")
+        self.f_v = TransformerEncoder(*enc, "f_v")
+        self.f_t = TransformerEncoder(*enc, "f_t")
         self.heads = {
             "av": Linear(d_model, d_proj, seed, "g_av"),
             "vt": Linear(d_model, d_proj, seed, "g_vt"),
@@ -128,10 +128,6 @@ class EncoderStack:
         if space not in SPACES or modality not in SPACES[space]:
             raise ShapeError(f"invalid (space, modality) pair ({space!r}, {modality!r})")
         return T.l2_normalize_rows(self.heads[space].forward(z))
-
-    def _project_row(self, z_row: Tensor, space: str) -> Tensor:
-        """Project one [d_model] embedding; per-sample so batch makeup is irrelevant."""
-        return T.l2_normalize_rows(self.heads[space].forward(T.stack_rows([z_row])))
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         out = (self.video_in.parameters() + self.audio_mlp.parameters()
@@ -180,8 +176,9 @@ class EncoderStack:
                     if z[m] is None:
                         proj_rows[(space, m)].append(zero_proj)
                     else:
-                        flat = self._project_row(z[m], space)
-                        proj_rows[(space, m)].append(_as_vector(flat))
+                        # one row at a time, so batch makeup is irrelevant
+                        row = self.project(T.stack_rows([z[m]]), space, m)
+                        proj_rows[(space, m)].append(_as_vector(row))
 
         return EmbeddingSet(
             z_a=T.stack_rows(rows["a"]),

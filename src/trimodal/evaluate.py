@@ -13,30 +13,40 @@ stand-in for sampling extra temporal crops).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import checkpoint as ckpt_mod
-from .data import Manifest, Record, sample_audio, sample_video
+from .config import DEFAULTS, section
+from .data import Manifest, Record, SyntheticConfig, sample_audio, sample_video
 from .encoders import EncoderStack, ModalityFeatures
 from .errors import AvailabilityError, ConfigError, FormatError
 from .layers import Linear
 from .ltf import load_ltf
 from .optim import Adam
 from .rng import Stream
-from .tensor import Tensor, backward, cross_entropy_rows
+from .tensor import Tensor, backward, cross_entropy_rows, no_grad
 
 MODES = ("video", "audio+video")
 TEST_SPLITS = ("test1", "test2", "test3")
 
 
+_EVAL = DEFAULTS["eval"]
+
+
 @dataclass
 class ProbeConfig:
-    lr: float = 1e-4
-    batch_size: int = 32
-    epochs: int = 50
-    seed: int = 7
+    """The `eval.probe_*` config keys without their prefix; defaults and
+    checks come from the schema."""
+
+    lr: float = _EVAL["probe_lr"]
+    batch_size: int = _EVAL["probe_batch_size"]
+    epochs: int = _EVAL["probe_epochs"]
+    seed: int = _EVAL["probe_seed"]
+
+    def __post_init__(self):
+        section("eval", {f"probe_{key}": value for key, value in asdict(self).items()})
 
 
 @dataclass
@@ -108,14 +118,15 @@ def fuse_embeddings(z_v: Tensor, z_a: Tensor | None) -> Tensor:
 
 
 def _embed(stack: EncoderStack, feats: ModalityFeatures, mode: str) -> np.ndarray | None:
-    """Frozen embedding for one sample; None when fusion lacks audio."""
-    z_v = stack.encode_video(feats.video)
-    if mode == "video":
-        return z_v.data.copy()
-    if not feats.has_audio:
-        return None
-    z_a = stack.encode_audio(feats.audio)
-    return fuse_embeddings(z_v, z_a).data
+    """Frozen embedding for one sample, computed without recording a graph;
+    None when fusion lacks audio."""
+    with no_grad():
+        z_v = stack.encode_video(feats.video)
+        if mode == "video":
+            return z_v.data.copy()
+        if not feats.has_audio:
+            return None
+        return fuse_embeddings(z_v, stack.encode_audio(feats.audio)).data
 
 
 class _ClipSource:
@@ -127,7 +138,7 @@ class _ClipSource:
         if manifest.meta is None or "templates" not in manifest.meta:
             raise FormatError("dataset has no meta.json with templates; "
                               "multi-clip evaluation needs clips_per_video=1")
-        self.cfg = dict(manifest.meta["config"])
+        self.cfg = SyntheticConfig(**manifest.meta["config"])
         t = manifest.meta["templates"]
         self.m_video = load_ltf(manifest.root / t["video"]).data
         self.m_audio = load_ltf(manifest.root / t["audio"]).data if need_audio else None

@@ -21,28 +21,28 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
+from .config import DEFAULTS, TERMS, section
 from .encoders import EmbeddingSet
 from .errors import MaskError, ShapeError
 from .tensor import Tensor
 
-TERM_ORDER = ("av", "vt", "avt")
+_LOSS = DEFAULTS["loss"]
 
 
 @dataclass
 class LossConfig:
-    tau: float = 0.07
-    enabled_terms: tuple[str, ...] = TERM_ORDER
-    term_weights: dict[str, float] = field(default_factory=lambda: {t: 1.0 for t in TERM_ORDER})
+    """The `loss` config section, with `terms` as `enabled_terms` and
+    `weights` as `term_weights`; defaults and checks come from the schema."""
+
+    tau: float = _LOSS["tau"]
+    enabled_terms: tuple[str, ...] = tuple(_LOSS["terms"])
+    term_weights: dict[str, float] = field(default_factory=lambda: dict(_LOSS["weights"]))
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        terms = tuple(self.enabled_terms)
-        if not terms or any(t not in TERM_ORDER for t in terms):
-            raise ValueError(f"enabled_terms must be a nonempty subset of {TERM_ORDER}")
-        self.enabled_terms = terms
-        for t in TERM_ORDER:
-            self.term_weights.setdefault(t, 1.0)
+        loss = section("loss", {"tau": self.tau, "terms": list(self.enabled_terms),
+                                "weights": self.term_weights})
+        self.enabled_terms = tuple(loss["terms"])
+        self.term_weights = loss["weights"]
 
 
 @dataclass
@@ -169,10 +169,10 @@ def loss_avt(emb: EmbeddingSet, cents: CentroidSet, cfg: LossConfig) -> LossTerm
 
 def loss_total(emb: EmbeddingSet, cents: CentroidSet | None, cfg: LossConfig) -> LossBreakdown:
     """Weighted sum of the enabled terms (all weights 1.0 by default)."""
-    values: dict[str, float] = {t: 0.0 for t in TERM_ORDER}
+    values: dict[str, float] = {t: 0.0 for t in TERMS}
     skipped: list[str] = []
     total: Tensor | None = None
-    for name in TERM_ORDER:
+    for name in TERMS:
         if name not in cfg.enabled_terms:
             continue
         if name == "av":

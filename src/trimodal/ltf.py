@@ -9,12 +9,15 @@ Layout:
     data   row-major payload, little-endian
 
 Readers reject bad magic, unknown dtypes, nonzero padding and truncated
-payloads. uint8 exists only to embed opaque byte blobs (e.g. the config
+payloads; a payload larger than the rest of the file is rejected before it
+is read. uint8 exists only to embed opaque byte blobs (e.g. the config
 document inside a checkpoint archive); numeric tensors are always float64.
 """
 
 from __future__ import annotations
 
+import io
+import math
 import struct
 from typing import BinaryIO
 
@@ -64,11 +67,15 @@ def read_stream(f: BinaryIO, path: str = "<stream>") -> np.ndarray:
     if pad != 0:
         raise FormatError(f"{path}: nonzero reserved bytes")
     dims = [struct.unpack("<Q", _read_exact(f, 8, path))[0] for _ in range(rank)]
-    count = 1
-    for dim in dims:
-        count *= dim
     dtype = _DTYPES[code]
-    payload = _read_exact(f, count * dtype.itemsize, path)
+    size = math.prod(dims) * dtype.itemsize
+    here = f.tell()
+    left = f.seek(0, io.SEEK_END) - here
+    f.seek(here)
+    if size > left:  # checked before reading: a forged header must not size an allocation
+        raise FormatError(f"{path}: truncated (header declares {size} payload bytes, "
+                          f"{left} left)")
+    payload = _read_exact(f, size, path)
     return np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
 
 

@@ -7,22 +7,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULTS
 from .errors import NumericError
 from .tensor import Tensor
+
+_OPTIM = DEFAULTS["optim"]
 
 
 @dataclass
 class CosineSchedule:
     """lr(t) = lr_min + (lr_max - lr_min) (1 + cos(pi t / T)) / 2, t clamped to T.
 
-    An optional linear warmup from 0 to lr_max over `warmup_steps` precedes
-    the cosine segment (warmup_steps = 0 by default).
+    A linear warmup from 0 to lr_max over `warmup_steps` precedes the cosine
+    segment when `warmup_steps` > 0.
     """
 
-    lr_max: float = 1e-3
-    lr_min: float = 0.0
+    lr_max: float = _OPTIM["lr_max"]
+    lr_min: float = _OPTIM["lr_min"]
     total_steps: int = 1
-    warmup_steps: int = 0
+    warmup_steps: int = _OPTIM["warmup_steps"]
 
     def __post_init__(self):
         if not (self.lr_max >= self.lr_min >= 0.0):
@@ -42,10 +45,6 @@ class CosineSchedule:
         return self.lr_min + 0.5 * (self.lr_max - self.lr_min) * (1.0 + math.cos(math.pi * t0 / horizon))
 
 
-def lr_at(schedule: CosineSchedule, t: int) -> float:
-    return schedule.lr_at(t)
-
-
 class Adam:
     """Standard Adam over named parameters; state is checkpointable.
 
@@ -54,8 +53,8 @@ class Adam:
     """
 
     def __init__(self, params: list[tuple[str, Tensor]],
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-                 grad_clip: float = 0.0):
+                 beta1: float = _OPTIM["beta1"], beta2: float = _OPTIM["beta2"],
+                 eps: float = _OPTIM["eps"], grad_clip: float = _OPTIM["grad_clip"]):
         self.params = list(params)
         self.beta1 = beta1
         self.beta2 = beta2

@@ -14,12 +14,13 @@ import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import config as cfg_mod
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import Batch, BatchSample, augment_audio, load_manifest, make_batches
-from .encoders import EncoderStack, ModalityFeatures
+from .encoders import ModalityFeatures
 from .errors import ConfigError, NumericError, TrainingAborted
-from .losses import LossConfig, compute_centroids, loss_total
-from .optim import Adam, CosineSchedule
+from .losses import compute_centroids, loss_total
+from .optim import CosineSchedule
 from .rng import Stream
 from .tensor import backward
 
@@ -32,23 +33,6 @@ class TrainResult:
     epochs_done: int
     final_loss: float
     epoch_checkpoints: dict[int, Path] = field(default_factory=dict)
-
-
-def _stack_from_config(cfg: dict, seed: int) -> EncoderStack:
-    d = cfg["data"]
-    m = cfg["model"]
-    return EncoderStack(
-        d_video_raw=d["d_video"], d_audio_raw=d["d_audio"], vocab=d["vocab"],
-        d_model=m["d_model"], n_heads=m["n_heads"], n_layers=m["n_layers"],
-        d_ff=m["d_ff"], d_proj=m["d_proj"], audio_hidden=m["audio_hidden"],
-        max_text_len=m["max_text_len"], seed=seed,
-    )
-
-
-def _loss_config(cfg: dict) -> LossConfig:
-    loss = cfg["loss"]
-    return LossConfig(tau=loss["tau"], enabled_terms=tuple(loss["terms"]),
-                      term_weights=dict(loss["weights"]))
 
 
 def _augmented(batch: Batch, sigma: float, seed: int, epoch: int, batch_idx: int) -> Batch:
@@ -88,19 +72,17 @@ def pretrain(cfg: dict, data_dir, out_path, log_path=None, resume=None) -> Train
         seed_value = cfg["train"]["seed"]
         if seed_value is None:
             raise ConfigError("train.seed is required (set it in the config or pass --seed)")
-        stack = _stack_from_config(cfg, int(seed_value))
-        adam = Adam(stack.parameters(),
-                    beta1=cfg["optim"]["beta1"], beta2=cfg["optim"]["beta2"],
-                    eps=cfg["optim"]["eps"], grad_clip=cfg["optim"]["grad_clip"])
+        stack = cfg_mod.encoder_stack(cfg, seed_value)
+        adam = cfg_mod.adam(cfg, stack.parameters())
         start_epoch, global_step = 0, 0
         log_mode = "w"
 
-    seed = int(cfg["train"]["seed"])
-    epochs = int(cfg["train"]["epochs"])
-    batch_size = int(cfg["train"]["batch_size"])
-    sigma_aug = float(cfg["train"]["augment_sigma_audio"])
-    checkpoint_every = int(cfg["train"]["checkpoint_every"])
-    loss_cfg = _loss_config(cfg)
+    seed = cfg["train"]["seed"]
+    epochs = cfg["train"]["epochs"]
+    batch_size = cfg["train"]["batch_size"]
+    sigma_aug = cfg["train"]["augment_sigma_audio"]
+    checkpoint_every = cfg["train"]["checkpoint_every"]
+    loss_cfg = cfg_mod.loss_config(cfg)
     use_centroids = "avt" in loss_cfg.enabled_terms
 
     n_train = len(manifest.records_for("train"))

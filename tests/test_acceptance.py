@@ -31,7 +31,7 @@ from trimodal.ltf import load_ltf, save_ltf
 from trimodal.optim import Adam
 from trimodal.rng import Stream
 from trimodal.tensor import Tensor, backward, cross_entropy_rows
-from trimodal.train import _stack_from_config, pretrain
+from trimodal.train import pretrain
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -197,7 +197,7 @@ class TestCriterion4EndToEndLearning:
         trained = probe_accuracy(stack, "video", ("full", 25, "video"))
         probe_seconds = time.monotonic() - t0
 
-        random_stack = _stack_from_config(default_cfg, 42)
+        random_stack = cfg_mod.encoder_stack(default_cfg, 42)
         rand = probe_accuracy(random_stack, "video", ("random", "video"))
 
         elapsed = train_seconds + probe_seconds

@@ -2,10 +2,13 @@
 
 import copy
 import json
+import struct
 
 import pytest
 
 from conftest import TINY_OVERRIDES
+from test_config import MALFORMED
+from test_ltf import ltf_header
 from trimodal.cli import main
 
 
@@ -100,6 +103,27 @@ class TestPretrain:
         assert main(["pretrain", "--config", str(cli_env["cfg"]),
                      "--data", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "x.lavc")]) == 3
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("doc,key", MALFORMED, ids=[key for _, key in MALFORMED])
+    def test_malformed_config_exit_2(self, cli_env, tmp_path, capsys, doc, key):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        code = main(["pretrain", "--config", str(cfg), "--data", str(cli_env["data"]),
+                     "--out", str(tmp_path / "x.lavc"), "--seed", "1"])
+        assert code == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dims", [[2**31, 2**28], [2**62]], ids=str)
+    def test_oversized_ltf_header_exit_3(self, cli_env, tmp_path, capsys, dims):
+        # a checkpoint archive whose one entry declares far more bytes than it holds
+        name = b"param.x"
+        bad = tmp_path / "forged.lavc"
+        bad.write_bytes(b"LAVC" + struct.pack("<I", 1) + struct.pack("<H", len(name)) + name
+                        + ltf_header(dims) + bytes(64))
+        assert main(["probe", "--ckpt", str(bad), "--data", str(cli_env["data"])]) == 3
+        assert "truncated" in capsys.readouterr().err
 
 
 class TestProbeAndEval:

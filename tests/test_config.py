@@ -1,11 +1,36 @@
 """Config document resolution and validation."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trimodal import config as cfg_mod
+from trimodal.data import SyntheticConfig
+from trimodal.encoders import EncoderStack
 from trimodal.errors import ConfigError
+from trimodal.evaluate import ProbeConfig
+
+# (document, dotted key the error must name); the first eight are the gaps
+# listed under ROADMAP direction 3.
+MALFORMED = [
+    ({"eval": {"probe_batch_size": 0}}, "eval.probe_batch_size"),
+    ({"model": {"d_ff": "x"}}, "model.d_ff"),
+    ({"data": {"n_samples": 48.5}}, "data.n_samples"),
+    ({"train": {"epochs": 1.5}}, "train.epochs"),
+    ({"optim": {"beta1": 1.0}}, "optim.beta1"),
+    ({"optim": {"warmup_steps": -3}}, "optim.warmup_steps"),
+    ({"train": {"checkpoint_every": -1}}, "train.checkpoint_every"),
+    ({"loss": {"weights": {"av": "x"}}}, "loss.weights.av"),
+    ({"data": {"independent_availability": 1}}, "data.independent_availability"),
+    ({"model": {"n_heads": True}}, "model.n_heads"),
+    ({"loss": {"tau": float("inf")}}, "loss.tau"),
+    ({"data": {"vocab": 10}}, "data.vocab"),
+    ({"data": {"l_text": 200}}, "data.l_text"),
+]
 
 
 class TestDefaults:
@@ -30,6 +55,18 @@ class TestDefaults:
         assert cfg_mod.synthetic_config(cfg).n_samples == 480
         assert cfg_mod.loss_config(cfg).tau == 0.07
         assert cfg_mod.probe_config(cfg).lr == 1e-4
+
+    def test_section_object_defaults_are_the_schema_defaults(self):
+        assert vars(SyntheticConfig()) == cfg_mod.DEFAULTS["data"]
+        assert ProbeConfig() == cfg_mod.probe_config(cfg_mod.resolve_config())
+        assert ProbeConfig().epochs == 300
+
+    def test_stack_builder_resolves_model_defaults(self):
+        cfg = cfg_mod.resolve_config()
+        dims = cfg_mod.encoder_stack(cfg, 0).dims
+        assert dims["d_ff"] == 2 * dims["d_model"] == 128
+        assert dims["audio_hidden"] == dims["d_model"] == 64
+        assert dims["d_video_raw"] == cfg["data"]["d_video"]
 
 
 class TestRejection:
@@ -69,6 +106,57 @@ class TestRejection:
         with pytest.raises(ConfigError, match="seed"):
             cfg_mod.resolve_config(overrides={"train": {"seed": "forty-two"}})
 
+    @pytest.mark.parametrize("doc,key", MALFORMED, ids=[key for _, key in MALFORMED])
+    def test_malformed_field_names_its_key(self, doc, key):
+        with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+            cfg_mod.validate(doc)
+
+    def test_library_constructors_check_their_fields(self):
+        with pytest.raises(ConfigError, match=r"data\.p_available"):
+            SyntheticConfig(p_available=1.5)
+        with pytest.raises(ConfigError, match=r"eval\.probe_batch_size"):
+            ProbeConfig(batch_size=0)
+        with pytest.raises(ConfigError, match=r"model\.d_modl"):
+            EncoderStack(d_video_raw=2, d_audio_raw=2, vocab=4, d_modl=8)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+# Values near the schema's bounds as well as arbitrary JSON, so that some
+# documents resolve and the rest fail in every row's type and bounds checks.
+_VALUE = (st.integers(-2, 300) | st.floats(-1.0, 2.0)
+          | st.sampled_from([["av"], ["xy"], []]) | _JSON)
+
+
+def _section(name):
+    keys = list(cfg_mod.DEFAULTS[name]) + ["bogus"]
+    values = _VALUE
+    if name == "loss":
+        values = values | st.dictionaries(st.sampled_from(["av", "vt", "avt", "xy"]), _VALUE)
+    return st.dictionaries(st.sampled_from(keys), values, max_size=4) | _JSON
+
+
+_DOCUMENT = st.fixed_dictionaries(
+    {}, optional={name: _section(name) for name in cfg_mod.DEFAULTS})
+
+
+class TestProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(_DOCUMENT)
+    @example({"data": {"text_informativeness": "x"}})
+    def test_any_document_resolves_or_raises_config_error(self, doc):
+        try:
+            cfg = cfg_mod.validate(doc)
+        except ConfigError:
+            return
+        assert json.loads(json.dumps(cfg)) == cfg
+        cfg_mod.synthetic_config(cfg)
+        cfg_mod.loss_config(cfg)
+        cfg_mod.probe_config(cfg)
+
 
 class TestFiles:
     def test_file_loading(self, tmp_path):
@@ -95,3 +183,23 @@ class TestFiles:
         path.write_text(json.dumps({"train": {"epochs": 2}}))
         cfg = cfg_mod.resolve_config(path, overrides={"train": {"epochs": 9}})
         assert cfg["train"]["epochs"] == 9
+
+
+def _rows(schema, prefix=""):
+    for key, row in schema.items():
+        if isinstance(row, dict):
+            yield from _rows(row, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", row
+
+
+class TestReadme:
+    def test_schema_table_lists_every_row(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = {key: (default, bounds.strip()) for key, default, bounds in re.findall(
+            r"^\| `([a-z0-9_.]+)` \| `([^`]*)` \| [^|]+ \| ([^|]+) \|", readme, re.M)}
+        rows = dict(_rows(cfg_mod.SCHEMA))
+        assert set(table) == set(rows)
+        for key, (default, _, interval) in rows.items():
+            assert json.loads(table[key][0]) == default, key
+            assert table[key][1] == (interval or "—"), key

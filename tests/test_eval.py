@@ -10,10 +10,10 @@ from trimodal import config as cfg_mod
 from trimodal.checkpoint import load_checkpoint
 from trimodal.data import generate_synthetic
 from trimodal.errors import AvailabilityError, ConfigError
-from trimodal.evaluate import (EvalReport, evaluate, evaluate_all_splits,
-                               fuse_embeddings, load_probe, save_probe, train_probe)
+from trimodal.evaluate import (EvalReport, ProbeConfig, _embed, evaluate,
+                               evaluate_all_splits, fuse_embeddings, load_probe, save_probe,
+                               train_probe)
 from trimodal.tensor import Tensor
-from trimodal.train import _stack_from_config
 
 
 def fingerprint(stack) -> str:
@@ -52,8 +52,35 @@ class TestFreezing:
         train_probe(stack, man, "audio+video", cfg_mod.probe_config(cfg))
         assert fingerprint(stack) == before
 
+    def test_frozen_embedding_records_no_graph(self, trained, monkeypatch):
+        _, man, stack = trained
+        feats = man.load_features(man.records_for("test1")[0])
+        recorded = stack.encode_video(feats.video)
+        assert recorded.requires_grad
+        outputs = []
+        encode = stack.encode_video
+
+        def spy(video):
+            outputs.append(encode(video))
+            return outputs[-1]
+
+        monkeypatch.setattr(stack, "encode_video", spy)
+        head = train_probe(stack, man, "audio+video", ProbeConfig(epochs=1))
+        evaluate(stack, head, man, "test1", clips_per_video=2)
+        assert outputs and not any(z.requires_grad for z in outputs)
+        assert np.array_equal(_embed(stack, feats, "video"), recorded.data)
+
 
 class TestProbeTraining:
+    def test_default_probe_config_is_the_documented_one(self, trained):
+        _, man, stack = trained
+        default = train_probe(stack, man, "video")
+        documented = train_probe(stack, man, "video",
+                                 cfg_mod.probe_config(cfg_mod.resolve_config()))
+        assert documented.linear.W.shape == default.linear.W.shape
+        assert np.array_equal(default.linear.W.data, documented.linear.W.data)
+        assert np.array_equal(default.linear.b.data, documented.linear.b.data)
+
     def test_separable_embeddings_reach_full_train_accuracy(self, tmp_path):
         # a strong per-class mean signal with zero noise is linearly separable
         # even through a randomly initialized encoder
@@ -68,7 +95,7 @@ class TestProbeTraining:
         }
         cfg = cfg_mod.resolve_config(overrides=overrides)
         man = generate_synthetic(cfg_mod.synthetic_config(cfg), tmp_path / "sep")
-        stack = _stack_from_config(cfg, 3)
+        stack = cfg_mod.encoder_stack(cfg, 3)
         head = train_probe(stack, man, "video", cfg_mod.probe_config(cfg))
         res = evaluate(stack, head, man, "train", clips_per_video=1)
         assert res.top1 == 1.0
@@ -134,7 +161,7 @@ class TestClips:
         }
         cfg = cfg_mod.resolve_config(overrides=overrides)
         man = generate_synthetic(cfg_mod.synthetic_config(cfg), tmp_path / "nz")
-        stack = _stack_from_config(cfg, 2)
+        stack = cfg_mod.encoder_stack(cfg, 2)
         head = train_probe(stack, man, "video", cfg_mod.probe_config(cfg))
         one = evaluate(stack, head, man, "test1", clips_per_video=1, seed=6)
         four = evaluate(stack, head, man, "test1", clips_per_video=4, seed=6)

@@ -12,7 +12,7 @@ import pytest
 
 from trimodal import tensor as T
 from trimodal.encoders import EmbeddingSet
-from trimodal.errors import MaskError, ShapeError
+from trimodal.errors import ConfigError, MaskError, ShapeError
 from trimodal.gradcheck import max_rel_err, tiny_training_setup
 from trimodal.losses import (LossConfig, compute_centroids, loss_av,
                              loss_avt, loss_total, loss_vt, nce, similarity)
@@ -307,11 +307,11 @@ class TestLossTotal:
         assert scaled.terms["av"] == 2.0 * base.terms["av"]
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="loss.tau"):
             LossConfig(tau=-1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="loss.terms"):
             LossConfig(enabled_terms=())
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="loss.terms"):
             LossConfig(enabled_terms=("xy",))
 
     def test_full_objective_gradient(self):

@@ -10,6 +10,15 @@ from trimodal.ltf import MAGIC, load_ltf, save_ltf
 from trimodal.rng import Stream
 
 
+OVERSIZED_DIMS = [[2**31, 2**28], [2**40], [2**62]]
+
+
+def ltf_header(dims) -> bytes:
+    """A float64 LTF header declaring `dims`, without its payload."""
+    return (MAGIC + struct.pack("<BBH", 0, len(dims), 0)
+            + b"".join(struct.pack("<Q", d) for d in dims))
+
+
 class TestRoundTrip:
     def test_bitwise_roundtrip(self, tmp_path):
         arr = Stream(1, "ltf").normal((5, 7))
@@ -74,6 +83,13 @@ class TestRejection:
         path = self._write_good(tmp_path)
         raw = path.read_bytes()
         path.write_bytes(raw[:-5])
+        with pytest.raises(FormatError, match="truncated"):
+            load_ltf(path)
+
+    @pytest.mark.parametrize("dims", OVERSIZED_DIMS, ids=str)
+    def test_payload_larger_than_file_rejected_before_reading(self, tmp_path, dims):
+        path = tmp_path / "forged.ltf"
+        path.write_bytes(ltf_header(dims) + bytes(64))
         with pytest.raises(FormatError, match="truncated"):
             load_ltf(path)
 
