@@ -97,21 +97,38 @@ def save_checkpoint(path, stack: EncoderStack, adam: Adam, config: dict,
     _write_archive(path, entries)
 
 
+def require(path, entries: dict[str, np.ndarray], *names: str) -> list[np.ndarray]:
+    """The named archive entries, or a `FormatError` naming the first missing one."""
+    for name in names:
+        if name not in entries:
+            raise FormatError(f"{path}: missing entry {name!r}")
+    return [entries[name] for name in names]
+
+
+def read_config(path, entries: dict[str, np.ndarray], *keys: str) -> dict:
+    """An archive's `config` entry: a UTF-8 JSON object holding every key in `keys`."""
+    (raw,) = require(path, entries, "config")
+    try:
+        blob = json.loads(raw.tobytes().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise FormatError(f"{path}: entry 'config' is not UTF-8 JSON ({e})") from e
+    for key in keys:
+        if not isinstance(blob, dict) or key not in blob:
+            raise FormatError(f"{path}: entry 'config' has no {key!r}")
+    return blob
+
+
 def load_checkpoint(path) -> Checkpoint:
     entries = _read_archive(path)
-    for required in ("config", "state.counters"):
-        if required not in entries:
-            raise FormatError(f"{path}: missing entry {required!r}")
-    blob = json.loads(entries["config"].tobytes().decode("utf-8"))
+    blob = read_config(path, entries, "config", "stack_dims")
+    (counters,) = require(path, entries, "state.counters")
     config = cfg_mod.validate(blob["config"])
     stack = EncoderStack(seed=0, **blob["stack_dims"])
     adam = cfg_mod.adam(config, stack.parameters())
     for name, p in stack.parameters():
         for prefix, target in (("param.", None), ("adam.m.", adam.m), ("adam.v.", adam.v)):
             key = prefix + name
-            if key not in entries:
-                raise FormatError(f"{path}: missing entry {key!r}")
-            arr = entries[key]
+            (arr,) = require(path, entries, key)
             if arr.shape != p.data.shape:
                 raise FormatError(f"{path}: shape mismatch for {key!r} "
                                   f"({arr.shape} vs {p.data.shape})")
@@ -119,7 +136,7 @@ def load_checkpoint(path) -> Checkpoint:
                 p.data[...] = arr
             else:
                 target[name][...] = arr
-    step, epochs_done, adam_t = entries["state.counters"]
+    step, epochs_done, adam_t = counters
     adam.t = int(adam_t)
     return Checkpoint(stack=stack, adam=adam, config=config,
                       epochs_done=int(epochs_done), step=int(step))

@@ -138,15 +138,13 @@ def _class_templates(cfg: SyntheticConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sample_text(cfg: SyntheticConfig, stream: Stream, label: int) -> np.ndarray:
+    """Token t draws a coin (draw 2t): below `text_informativeness` it takes
+    an id from the class's vocabulary slice, else a uniform one (draw 2t + 1)."""
     sub = cfg.vocab // (2 * cfg.n_classes)
-    start = label * sub
-    toks = np.empty(cfg.l_text, dtype=np.int64)
-    for t in range(cfg.l_text):
-        if stream.uniform() < cfg.text_informativeness:
-            toks[t] = start + int(stream.integers(1, sub)[0])
-        else:
-            toks[t] = int(stream.integers(1, cfg.vocab)[0])
-    return toks
+    raw = stream.u64(2 * cfg.l_text)
+    informative = (raw[0::2] >> 11) * 2.0**-53 < cfg.text_informativeness
+    ids = raw[1::2]
+    return np.where(informative, label * sub + ids % sub, ids % cfg.vocab).astype(np.int64)
 
 
 def _assign_splits(cfg: SyntheticConfig, labels: np.ndarray) -> list[str]:

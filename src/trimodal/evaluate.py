@@ -95,18 +95,6 @@ class EvalReport:
             "per_class": {str(k): v for k, v in sorted(self.per_class.items())},
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalReport":
-        rep = cls(mode=d["mode"], clips_per_video=d["clips_per_video"],
-                  mean_top1=d["mean_top1"],
-                  per_class={int(k): v for k, v in d["per_class"].items()})
-        for name, r in d["splits"].items():
-            rep.splits[name] = SplitResult(
-                split=name, top1=r["top1"], n=r["n"], n_excluded=r["n_excluded"],
-                per_class={int(k): v for k, v in r["per_class"].items()},
-                class_counts={int(k): tuple(v) for k, v in r.get("class_counts", {}).items()})
-        return rep
-
 
 def fuse_embeddings(z_v: Tensor, z_a: Tensor | None) -> Tensor:
     """Concatenate frozen embeddings video-first: [z_v ; z_a]."""
@@ -191,7 +179,7 @@ def train_probe(stack: EncoderStack, manifest: Manifest, mode: str,
 
 
 def evaluate(stack: EncoderStack, head: ProbeHead, manifest: Manifest, split: str,
-             clips_per_video: int = 1, seed: int = 1234) -> SplitResult:
+             clips_per_video: int = 1, seed: int = _EVAL["eval_seed"]) -> SplitResult:
     """Top-1 accuracy on one split, averaging logits over clips per video."""
     if clips_per_video < 1:
         raise ConfigError("clips_per_video must be >= 1")
@@ -234,7 +222,7 @@ def evaluate(stack: EncoderStack, head: ProbeHead, manifest: Manifest, split: st
 
 
 def evaluate_all_splits(stack: EncoderStack, head: ProbeHead, manifest: Manifest,
-                        clips_per_video: int = 1, seed: int = 1234,
+                        clips_per_video: int = 1, seed: int = _EVAL["eval_seed"],
                         splits: tuple[str, ...] = TEST_SPLITS) -> EvalReport:
     """Per-split accuracy plus the arithmetic mean over the requested splits."""
     report = EvalReport(mode=head.mode, clips_per_video=clips_per_video)
@@ -263,9 +251,12 @@ def save_probe(path, head: ProbeHead) -> None:
 
 def load_probe(path) -> ProbeHead:
     entries = ckpt_mod._read_archive(path)
-    blob = json.loads(entries["config"].tobytes().decode("utf-8"))
-    w = entries["param.probe.W"]
+    blob = ckpt_mod.read_config(path, entries, "mode", "n_classes")
+    w, b = ckpt_mod.require(path, entries, "param.probe.W", "param.probe.b")
+    if w.ndim != 2 or b.shape != (w.shape[1],):
+        raise FormatError(f"{path}: probe weight {w.shape} and bias {b.shape} "
+                          "do not form a linear layer")
     head = Linear(w.shape[0], w.shape[1], 0, "probe")
     head.W.data[...] = w
-    head.b.data[...] = entries["param.probe.b"]
+    head.b.data[...] = b
     return ProbeHead(linear=head, mode=blob["mode"], n_classes=blob["n_classes"])

@@ -65,13 +65,6 @@ class LossBreakdown:
     skipped: tuple[str, ...]
 
 
-def similarity(x: Tensor, y: Tensor, tau: float) -> Tensor:
-    """exp(x . y / tau) for two vectors."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    return T.exp(T.scale(T.dot(x, y), 1.0 / tau))
-
-
 def nce(z: Tensor, zp: Tensor, tau: float, mask=None) -> Tensor:
     """Aggregate batch NCE between row-aligned unit matrices [N, d].
 

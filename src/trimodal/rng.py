@@ -35,30 +35,25 @@ import math
 
 import numpy as np
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 
 
-def mix64(z: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
-    """SplitMix64 finalizer; accepts a uint64 scalar or array (wraps mod 2^64)."""
-    z = np.uint64(z) if not isinstance(z, np.ndarray) else z
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+def mix64(z: int | np.ndarray) -> int | np.ndarray:
+    """SplitMix64 finalizer on a Python int in [0, 2^64) or a uint64 array."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    return z ^ (z >> 31)
 
 
-def _fold(state: np.uint64, item: int | str) -> np.uint64:
+def _fold(state: int, item: int | str) -> int:
     """Fold one key element into a stream seed."""
-    with np.errstate(over="ignore"):
-        if isinstance(item, str):
-            for b in item.encode("utf-8"):
-                state = mix64(state ^ mix64(np.uint64(b) + _GOLDEN))
-            return state
-        if isinstance(item, (int, np.integer)):
-            return mix64(state ^ mix64(np.uint64(int(item) & _MASK64) + _GOLDEN))
+    if isinstance(item, str):
+        for b in item.encode("utf-8"):
+            state = mix64(state ^ mix64(b + _GOLDEN))  # b < 256: no wrap
+        return state
+    if isinstance(item, (int, np.integer)):
+        return mix64(state ^ mix64((int(item) & _MASK64) + _GOLDEN & _MASK64))
     raise TypeError(f"stream key elements must be int or str, got {type(item).__name__}")
 
 
@@ -70,35 +65,33 @@ class Stream:
     """
 
     def __init__(self, seed: int, *key: int | str):
-        state = mix64(np.uint64(int(seed) & _MASK64))
+        state = mix64(int(seed) & _MASK64)
         for item in key:
             state = _fold(state, item)
         self._seed = state
-        self._counter = np.uint64(0)
+        self._counter = 0
 
     def u64(self, n: int) -> np.ndarray:
         """Next `n` raw 64-bit outputs."""
-        with np.errstate(over="ignore"):
-            idx = np.arange(1, n + 1, dtype=np.uint64) + self._counter
-            self._counter = self._counter + np.uint64(n)
-            states = self._seed + idx * _GOLDEN
-        return mix64(states)
+        idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
+        self._counter += n
+        return mix64(idx * _GOLDEN + self._seed)
 
     def uniform(self, shape: int | tuple[int, ...] = ()) -> np.ndarray | float:
         """Uniform float64 in [0, 1)."""
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        n = int(np.prod(shape)) if shape else 1
-        out = (self.u64(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        n = math.prod(shape)
+        out = (self.u64(n) >> 11) * 2.0**-53
         return out.reshape(shape) if shape else float(out[0])
 
     def normal(self, shape: int | tuple[int, ...] = (), sigma: float = 1.0) -> np.ndarray | float:
         """Standard-normal float64 draws via Box-Muller, scaled by `sigma`."""
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape)
         pairs = (n + 1) // 2
-        raw = self.u64(2 * pairs)
-        u1 = ((raw[:pairs] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53  # (0, 1]
-        u2 = (raw[pairs:] >> np.uint64(11)).astype(np.float64) * 2.0**-53          # [0, 1)
+        raw = self.u64(2 * pairs) >> 11
+        u1 = (raw[:pairs] + 1.0) * 2.0**-53  # (0, 1]
+        u2 = raw[pairs:] * 2.0**-53          # [0, 1)
         r = np.sqrt(-2.0 * np.log(u1))
         out = np.empty(2 * pairs, dtype=np.float64)
         out[0::2] = r * np.cos(2.0 * math.pi * u2)
@@ -110,7 +103,7 @@ class Stream:
         """`n` integers in [0, bound) via modulo reduction."""
         if bound <= 0:
             raise ValueError("bound must be positive")
-        return (self.u64(n) % np.uint64(bound)).astype(np.int64)
+        return (self.u64(n) % bound).astype(np.int64)
 
     def shuffle(self, items: list) -> list:
         """Fisher-Yates shuffle; returns a new list, input untouched."""
@@ -118,9 +111,8 @@ class Stream:
         n = len(out)
         if n < 2:
             return out
-        draws = self.u64(n - 1)
-        for pos, i in enumerate(range(n - 1, 0, -1)):
-            j = int(draws[pos] % np.uint64(i + 1))
+        for i, draw in zip(range(n - 1, 0, -1), self.u64(n - 1).tolist()):
+            j = draw % (i + 1)
             out[i], out[j] = out[j], out[i]
         return out
 

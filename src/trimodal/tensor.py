@@ -93,10 +93,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        """A new leaf sharing no graph history (data is copied)."""
-        return Tensor(self.data.copy())
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, op={self._op!r}{flag})"
@@ -496,7 +492,3 @@ def cross_entropy_rows(logits: Tensor, labels) -> Tensor:
         return (gl * (float(g) / n),)
 
     return _node(np.asarray(nll.mean()), (logits,), back, "cross_entropy_rows")
-
-
-def zeros(shape: int | tuple[int, ...]) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=np.float64))

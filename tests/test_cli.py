@@ -4,12 +4,16 @@ import copy
 import json
 import struct
 
+import numpy as np
 import pytest
 
 from conftest import TINY_OVERRIDES
 from test_config import MALFORMED
 from test_ltf import ltf_header
+from trimodal.checkpoint import _read_archive, _write_archive
 from trimodal.cli import main
+from trimodal.evaluate import ProbeHead, save_probe
+from trimodal.layers import Linear
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +128,37 @@ class TestMalformedInputs:
                         + ltf_header(dims) + bytes(64))
         assert main(["probe", "--ckpt", str(bad), "--data", str(cli_env["data"])]) == 3
         assert "truncated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("blob, message", [
+        (b"{not json", "not UTF-8 JSON"),
+        (b"\xff\xfe{}", "not UTF-8 JSON"),
+        (json.dumps({"config": {}}).encode(), "has no 'stack_dims'"),
+    ], ids=["not-json", "not-utf8", "no-stack-dims"])
+    def test_forged_checkpoint_config_exit_3(self, cli_env, tmp_path, capsys, blob, message):
+        entries = _read_archive(cli_env["ckpt"])
+        entries["config"] = np.frombuffer(blob, dtype=np.uint8)
+        bad = tmp_path / "forged.lavc"
+        _write_archive(bad, list(entries.items()))
+        assert main(["probe", "--ckpt", str(bad), "--data", str(cli_env["data"])]) == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and message in err
+
+    @pytest.mark.parametrize("forge, message", [
+        (lambda entries: entries.pop("config"), "missing entry 'config'"),
+        (lambda entries: entries.update({"param.probe.W": np.zeros(4)}), "do not form"),
+    ], ids=["no-config", "1d-weight"])
+    def test_forged_probe_head_exit_3(self, cli_env, tmp_path, capsys, forge, message):
+        head = tmp_path / "head.lavc"
+        save_probe(head, ProbeHead(Linear(4, 3, 0, "probe"), "video", 3))
+        entries = _read_archive(head)
+        forge(entries)
+        _write_archive(head, list(entries.items()))
+        code = main(["eval", "--ckpt", str(cli_env["ckpt"]), "--data", str(cli_env["data"]),
+                     "--mode", "video", "--clips", "1", "--head", str(head),
+                     "--config", str(cli_env["cfg"])])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(head) in err and message in err
 
 
 class TestProbeAndEval:

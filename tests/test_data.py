@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from trimodal.data import (SPLITS, SyntheticConfig, augment_audio, generate_synthetic,
-                           load_manifest, make_batches)
+from trimodal.data import (SPLITS, SyntheticConfig, _sample_text, augment_audio,
+                           generate_synthetic, load_manifest, make_batches)
 from trimodal.errors import ConfigError, FormatError
 from trimodal.ltf import save_ltf
 from trimodal.rng import Stream
@@ -92,6 +92,19 @@ class TestGeneration:
         man = generate_synthetic(cfg, tmp_path / "ds")
         pairs = [(r.audio_path is None, r.text_path is None) for r in man.records]
         assert any(a != t for a, t in pairs)
+
+    @pytest.mark.parametrize("informativeness", [0.0, 0.5, 0.9, 1.0])
+    def test_text_block_matches_scalar_draws(self, informativeness):
+        # reference: one coin, then one id, per token, from scalar stream calls
+        cfg = tiny_synth(l_text=20, vocab=40, text_informativeness=informativeness)
+        sub = cfg.vocab // (2 * cfg.n_classes)
+        for label in range(cfg.n_classes):
+            ref = Stream(9, "text", label)
+            expected = [label * sub + int(ref.integers(1, sub)[0])
+                        if ref.uniform() < informativeness
+                        else int(ref.integers(1, cfg.vocab)[0]) for _ in range(cfg.l_text)]
+            toks = _sample_text(cfg, Stream(9, "text", label), label)
+            assert toks.dtype == np.int64 and toks.tolist() == expected
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

@@ -15,7 +15,7 @@ from trimodal.encoders import EmbeddingSet
 from trimodal.errors import ConfigError, MaskError, ShapeError
 from trimodal.gradcheck import max_rel_err, tiny_training_setup
 from trimodal.losses import (LossConfig, compute_centroids, loss_av,
-                             loss_avt, loss_total, loss_vt, nce, similarity)
+                             loss_avt, loss_total, loss_vt, nce)
 from trimodal.rng import Stream
 from trimodal.tensor import Tensor
 
@@ -49,28 +49,12 @@ def embedding_set(n, d, stream, avail_a=None, avail_t=None) -> EmbeddingSet:
                         avail_a=avail_a, avail_t=avail_t)
 
 
-class TestSimilarity:
-    def test_aligned_unit_vectors_tau_one(self):
-        x = Tensor([1.0, 0.0])
-        assert abs(similarity(x, x, 1.0).item() - math.e) < 1e-12
-
-    def test_orthogonal_gives_one(self):
-        x, y = Tensor([1.0, 0.0]), Tensor([0.0, 1.0])
-        for tau in (0.07, 0.5, 1.0):
-            assert similarity(x, y, tau).item() == 1.0
-
-    def test_default_temperature_direct_evaluation(self):
-        x = Tensor([0.0, 1.0, 0.0])
-        expected = math.exp(1.0 / 0.07)  # 1600320.1896...
-        assert abs(similarity(x, x, 0.07).item() - expected) < 1e-6 * expected
-
-    def test_requires_positive_tau(self):
-        x = Tensor([1.0])
-        with pytest.raises(ValueError):
-            similarity(x, x, 0.0)
-
-
 class TestNce:
+    def test_requires_positive_tau(self):
+        x = Tensor([[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError):
+            nce(x, x, 0.0)
+
     def test_single_survivor_is_exactly_zero(self):
         z = Tensor([[1.0, 0.0], [0.0, 1.0]])
         out = nce(z, z, 0.07, mask=[True, False])
