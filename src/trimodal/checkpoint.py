@@ -24,7 +24,7 @@ import numpy as np
 from . import config as cfg_mod
 from . import ltf
 from .encoders import EncoderStack
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 from .optim import Adam
 
 MAGIC = b"LAVC"
@@ -118,12 +118,42 @@ def read_config(path, entries: dict[str, np.ndarray], *keys: str) -> dict:
     return blob
 
 
+_RAW_DIMS = ("d_video_raw", "d_audio_raw", "vocab")
+
+
+def _stack_from_dims(path, dims) -> EncoderStack:
+    """The stack that a `config` entry's `stack_dims` object describes, or a
+    `FormatError` naming the entry."""
+    where = f"{path}: 'stack_dims' in entry 'config'"
+    if not isinstance(dims, dict):
+        raise FormatError(f"{where} is not an object")
+    for key in _RAW_DIMS:
+        value = dims.get(key)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise FormatError(f"{where} has no positive integer {key!r}")
+    try:
+        return EncoderStack(seed=0, **dims)
+    except ConfigError as e:
+        raise FormatError(f"{where}: {e}") from e
+
+
+def _counters(path, counters: np.ndarray) -> tuple[int, int, int]:
+    """`state.counters` as (step, epochs_done, adam_t), or a `FormatError`."""
+    if (counters.shape != (3,) or not np.isfinite(counters).all()
+            or (counters < 0).any() or (counters != np.floor(counters)).any()):
+        raise FormatError(f"{path}: entry 'state.counters' must hold 3 non-negative "
+                          f"integers [step, epochs_done, adam_t], got "
+                          f"{np.array2string(counters, threshold=6)}")
+    return tuple(int(c) for c in counters)
+
+
 def load_checkpoint(path) -> Checkpoint:
     entries = _read_archive(path)
     blob = read_config(path, entries, "config", "stack_dims")
     (counters,) = require(path, entries, "state.counters")
+    step, epochs_done, adam_t = _counters(path, counters)
     config = cfg_mod.validate(blob["config"])
-    stack = EncoderStack(seed=0, **blob["stack_dims"])
+    stack = _stack_from_dims(path, blob["stack_dims"])
     adam = cfg_mod.adam(config, stack.parameters())
     for name, p in stack.parameters():
         for prefix, target in (("param.", None), ("adam.m.", adam.m), ("adam.v.", adam.v)):
@@ -136,7 +166,6 @@ def load_checkpoint(path) -> Checkpoint:
                 p.data[...] = arr
             else:
                 target[name][...] = arr
-    step, epochs_done, adam_t = counters
-    adam.t = int(adam_t)
+    adam.t = adam_t
     return Checkpoint(stack=stack, adam=adam, config=config,
-                      epochs_done=int(epochs_done), step=int(step))
+                      epochs_done=epochs_done, step=step)

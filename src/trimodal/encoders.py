@@ -5,6 +5,10 @@ single linear head per latent space (audio-video, video-text, and the joint
 tri-modal space) projects encoder outputs, followed by L2 normalization so
 similarities stay in [-1, 1] before temperature scaling.
 
+`encode_video` and `encode_audio` take one `[T, d_raw]` sequence or a
+`[B, T, d_raw]` stack of equal-length sequences, and return `[d_model]` or
+`[B, d_model]`; a stacked row is bitwise the row of its own one-sample call.
+
 Batch embedding is strictly per-sample: a sample's embeddings and projections
 never depend on which other samples share the batch, which is what makes
 masked losses bitwise equal to their physically reduced sub-batch versions.
@@ -103,7 +107,7 @@ class EncoderStack:
             "avt": Linear(d_model, d_proj, seed, "g_avt"),
         }
 
-    # -- single-sample encoders ------------------------------------------
+    # -- encoders: one [T, d_raw] sample, or a [B, T, d_raw] stack ----------
 
     def encode_video(self, video: Tensor) -> Tensor:
         return mean_pool(self.f_v.forward(self.video_in.forward(video)))

@@ -3,6 +3,8 @@
 A probe is one linear layer trained with cross-entropy on cached embeddings
 (video-only, or video and audio embeddings concatenated video-first). The
 encoders never receive gradients; their parameters are bitwise untouched.
+Embedding runs without a graph, in one encoder call per modality and
+sequence length for a whole split (every clip of every video at once).
 
 Test-set accuracy averages logits over several clips per video. Clip 0 is
 the stored feature block; further clips are fresh noise draws around the
@@ -97,24 +99,52 @@ class EvalReport:
 
 
 def fuse_embeddings(z_v: Tensor, z_a: Tensor | None) -> Tensor:
-    """Concatenate frozen embeddings video-first: [z_v ; z_a]."""
+    """Concatenate frozen embeddings video-first: [z_v ; z_a], for one
+    embedding each or for [n, d] rows of n samples."""
     if z_a is None:
         raise AvailabilityError("fuse_embeddings: audio embedding missing")
-    if z_v.data.ndim != 1 or z_a.data.ndim != 1:
-        raise ConfigError("fuse_embeddings expects 1-D embeddings")
-    return Tensor(np.concatenate([z_v.data, z_a.data]))
+    if z_v.data.ndim not in (1, 2) or z_v.shape[:-1] != z_a.shape[:-1]:
+        raise ConfigError("fuse_embeddings expects 1-D embeddings or [n, d] rows of "
+                          f"equal count, got {z_v.shape} and {z_a.shape}")
+    return Tensor(np.concatenate([z_v.data, z_a.data], axis=-1))
 
 
-def _embed(stack: EncoderStack, feats: ModalityFeatures, mode: str) -> np.ndarray | None:
-    """Frozen embedding for one sample, computed without recording a graph;
-    None when fusion lacks audio."""
+def _encode_by_length(encode, seqs: list[Tensor]) -> Tensor:
+    """`encode` of each [T, d] sequence, as [n, d_model] rows in input order:
+    one call per distinct length T, on the [B, T, d] stack of that length."""
+    groups: dict[int, list[int]] = {}
+    for i, seq in enumerate(seqs):
+        groups.setdefault(seq.shape[0], []).append(i)
+    rows = None
+    for idx in groups.values():
+        z = encode(Tensor(np.stack([seqs[i].data for i in idx]))).data
+        if rows is None:
+            rows = np.empty((len(seqs), z.shape[1]))
+        rows[idx] = z
+    return Tensor(rows)
+
+
+def _embeddable(feats: ModalityFeatures, mode: str) -> bool:
+    return mode == "video" or feats.has_audio
+
+
+def embed_frozen(stack: EncoderStack, samples: list[ModalityFeatures],
+                 mode: str) -> list[np.ndarray | None]:
+    """Frozen embeddings of `samples` in input order, computed without
+    recording a graph; None where fusion lacks audio. Each row is bitwise
+    that sample's own one-sample encoding."""
+    kept = [i for i, f in enumerate(samples) if _embeddable(f, mode)]
+    out: list[np.ndarray | None] = [None] * len(samples)
+    if not kept:
+        return out
     with no_grad():
-        z_v = stack.encode_video(feats.video)
-        if mode == "video":
-            return z_v.data.copy()
-        if not feats.has_audio:
-            return None
-        return fuse_embeddings(z_v, stack.encode_audio(feats.audio)).data
+        z = _encode_by_length(stack.encode_video, [samples[i].video for i in kept])
+        if mode != "video":
+            z = fuse_embeddings(
+                z, _encode_by_length(stack.encode_audio, [samples[i].audio for i in kept]))
+    for i, row in zip(kept, z.data):
+        out[i] = row
+    return out
 
 
 class _ClipSource:
@@ -150,9 +180,9 @@ def train_probe(stack: EncoderStack, manifest: Manifest, mode: str,
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     probe_cfg = probe_cfg or ProbeConfig()
     records = manifest.records_for("train")
+    embs = embed_frozen(stack, [manifest.load_features(rec) for rec in records], mode)
     feats, labels = [], []
-    for rec in records:
-        emb = _embed(stack, manifest.load_features(rec), mode)
+    for rec, emb in zip(records, embs):
         if emb is None:
             continue  # fusion probe trains only where audio exists
         feats.append(emb)
@@ -189,36 +219,32 @@ def evaluate(stack: EncoderStack, head: ProbeHead, manifest: Manifest, split: st
     source = None
     if clips_per_video > 1:
         source = _ClipSource(manifest, need_audio=(head.mode == "audio+video"), seed=seed)
-    hits: dict[int, int] = {}
-    totals: dict[int, int] = {}
-    n_excluded = 0
-    n_scored = 0
-    correct = 0
+    scored, clips = [], []
     for rec in records:
         stored = manifest.load_features(rec)
-        clip_embs = []
-        for j in range(clips_per_video):
-            feats = stored if source is None else source.clip(rec, stored, j)
-            emb = _embed(stack, feats, head.mode)
-            if emb is None:
-                break
-            clip_embs.append(emb)
-        if len(clip_embs) < clips_per_video:
-            n_excluded += 1
+        if not _embeddable(stored, head.mode):
             continue
+        scored.append(rec)
+        clips.extend(stored if source is None else source.clip(rec, stored, j)
+                     for j in range(clips_per_video))
+    if not scored:
+        raise AvailabilityError(f"split {split!r} has no scorable videos in mode {head.mode!r}")
+    embs = embed_frozen(stack, clips, head.mode)
+    hits: dict[int, int] = {}
+    totals: dict[int, int] = {}
+    correct = 0
+    for r, rec in enumerate(scored):
+        clip_embs = embs[r * clips_per_video:(r + 1) * clips_per_video]
         logits = head.logits(np.stack(clip_embs)).mean(axis=0)
-        pred = int(np.argmax(logits))
-        n_scored += 1
         totals[rec.label] = totals.get(rec.label, 0) + 1
-        if pred == rec.label:
+        if int(np.argmax(logits)) == rec.label:
             correct += 1
             hits[rec.label] = hits.get(rec.label, 0) + 1
-    if n_scored == 0:
-        raise AvailabilityError(f"split {split!r} has no scorable videos in mode {head.mode!r}")
     per_class = {k: hits.get(k, 0) / t for k, t in sorted(totals.items())}
     counts = {k: (hits.get(k, 0), t) for k, t in sorted(totals.items())}
-    return SplitResult(split=split, top1=correct / n_scored, n=n_scored,
-                       n_excluded=n_excluded, per_class=per_class, class_counts=counts)
+    return SplitResult(split=split, top1=correct / len(scored), n=len(scored),
+                       n_excluded=len(records) - len(scored), per_class=per_class,
+                       class_counts=counts)
 
 
 def evaluate_all_splits(stack: EncoderStack, head: ProbeHead, manifest: Manifest,

@@ -71,9 +71,17 @@ def _wsum(t: Tensor, stream: Stream) -> Tensor:
     return T.sum_all(T.mul(t, w))
 
 
+def _sum2(x: Tensor, y: Tensor) -> Tensor:
+    """Two cases' weighted sums added: the 2-D instance and a stacked one."""
+    return T.add(_wsum(x, Stream(7, "w")), _wsum(y, Stream(7, "w", "stacked")))
+
+
 def _case_matmul(s):
+    # 2-D; then a 2-D weight shared across a stack, and two equal stacks
     a, b = _leaf(s, (4, 5)), _leaf(s, (5, 3))
-    return [a, b], lambda: _wsum(T.matmul(a, b), Stream(7, "w"))
+    sa, sb, sw = _leaf(s, (2, 2, 3)), _leaf(s, (2, 3, 2)), _leaf(s, (3, 2))
+    return [a, b, sa, sb, sw], lambda: T.add(
+        _sum2(T.matmul(a, b), T.matmul(sa, sw)), _wsum(T.matmul(sa, sb), Stream(7, "w", "b")))
 
 
 def _case_add(s):
@@ -124,8 +132,8 @@ def _case_log(s):
 
 
 def _case_transpose(s):
-    a = _leaf(s, (3, 5))
-    return [a], lambda: _wsum(T.transpose(a), Stream(7, "w"))
+    a, sa = _leaf(s, (3, 5)), _leaf(s, (2, 2, 3))
+    return [a, sa], lambda: _sum2(T.transpose(a), T.transpose(sa))
 
 
 def _case_dot(s):
@@ -134,8 +142,8 @@ def _case_dot(s):
 
 
 def _case_add_rowvec(s):
-    x, b = _leaf(s, (4, 3)), _leaf(s, (3,))
-    return [x, b], lambda: _wsum(T.add_rowvec(x, b), Stream(7, "w"))
+    x, b, sx = _leaf(s, (4, 3)), _leaf(s, (3,)), _leaf(s, (2, 2, 3))
+    return [x, b, sx], lambda: _sum2(T.add_rowvec(x, b), T.add_rowvec(sx, b))
 
 
 def _case_sum_all(s):
@@ -144,8 +152,8 @@ def _case_sum_all(s):
 
 
 def _case_mean_axis0(s):
-    a = _leaf(s, (5, 3))
-    return [a], lambda: _wsum(T.mean_axis0(a), Stream(7, "w1"))
+    a, sa = _leaf(s, (5, 3)), _leaf(s, (2, 3, 2))
+    return [a, sa], lambda: _sum2(T.mean_axis0(a), T.mean_axis0(sa))
 
 
 def _case_logsumexp_all(s):
@@ -160,12 +168,13 @@ def _case_stack_rows(s):
 
 def _case_concat_cols(s):
     parts = [_leaf(s, (3, 2)), _leaf(s, (3, 4)), _leaf(s, (3, 1))]
-    return parts, lambda: _wsum(T.concat_cols(parts), Stream(7, "w"))
+    stacked = [_leaf(s, (2, 2, 1)), _leaf(s, (2, 2, 2))]
+    return parts + stacked, lambda: _sum2(T.concat_cols(parts), T.concat_cols(stacked))
 
 
 def _case_slice_cols(s):
-    a = _leaf(s, (3, 6))
-    return [a], lambda: _wsum(T.slice_cols(a, 1, 4), Stream(7, "w"))
+    a, sa = _leaf(s, (3, 6)), _leaf(s, (2, 2, 3))
+    return [a, sa], lambda: _sum2(T.slice_cols(a, 1, 4), T.slice_cols(sa, 1, 3))
 
 
 def _case_gather_rows(s):
@@ -185,8 +194,8 @@ def _case_diag_part(s):
 
 
 def _case_softmax_rows(s):
-    a = _leaf(s, (4, 6), -2.0, 2.0)
-    return [a], lambda: _wsum(T.softmax_rows(a), Stream(7, "w"))
+    a, sa = _leaf(s, (4, 6), -2.0, 2.0), _leaf(s, (2, 2, 3), -2.0, 2.0)
+    return [a, sa], lambda: _sum2(T.softmax_rows(a), T.softmax_rows(sa))
 
 
 def _case_l2_normalize_rows(s):
@@ -199,7 +208,11 @@ def _case_layer_norm_rows(s):
     x = _leaf(s, (4, 6), -2.0, 2.0)
     gamma = _leaf(s, (6,), 0.5, 1.5)
     beta = _leaf(s, (6,), -0.5, 0.5)
-    return [x, gamma, beta], lambda: _wsum(T.layer_norm_rows(x, gamma, beta), Stream(7, "w"))
+    sx = _leaf(s, (2, 2, 3), -2.0, 2.0)
+    sgamma = _leaf(s, (3,), 0.5, 1.5)
+    sbeta = _leaf(s, (3,), -0.5, 0.5)
+    return [x, gamma, beta, sx, sgamma, sbeta], lambda: _sum2(
+        T.layer_norm_rows(x, gamma, beta), T.layer_norm_rows(sx, sgamma, sbeta))
 
 
 def _case_cross_entropy_rows(s):

@@ -1,6 +1,10 @@
 """Neural building blocks: linear maps, layer norm, multi-head self-attention,
 transformer encoder stacks, token embeddings, positional encoding, pooling.
 
+Sequence layers take `[..., T, d]`: a `[T, d]` sample, or `[B, T, d]` for B
+samples of one length T. Each sample's output is bitwise what it gets on its
+own, since every op works per stacked matrix and no sample sees another.
+
 All weights are initialized Uniform(+/- sqrt(6 / (fan_in + fan_out))) from a
 stream keyed by the parameter's hierarchical name, biases and layer-norm
 offsets at zero, so construction order never affects the draw.
@@ -25,7 +29,7 @@ def _uniform_init(shape: tuple[int, ...], fan_in: int, fan_out: int, seed: int, 
 
 
 class Linear:
-    """y = x W + b with W[in, out], bias broadcast over rows."""
+    """y = x W + b with W[in, out] for x[..., in], bias broadcast over rows."""
 
     def __init__(self, d_in: int, d_out: int, seed: int, name: str):
         self.name = name
@@ -68,7 +72,7 @@ class LayerNorm:
 
 
 class MultiHeadAttention:
-    """Scaled dot-product self-attention over a [T, d_model] sequence.
+    """Scaled dot-product self-attention over [..., T, d_model] sequences.
 
     Returns the output projection of the concatenated heads; residual and
     layer norm belong to the enclosing block.
@@ -86,8 +90,8 @@ class MultiHeadAttention:
         self.Wo = Linear(d_model, d_model, seed, name + ".Wo")
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.data.ndim != 2 or x.shape[1] != self.d_model:
-            raise ShapeError(f"attention input must be [T, {self.d_model}], got {x.shape}")
+        if x.data.ndim < 2 or x.shape[-1] != self.d_model:
+            raise ShapeError(f"attention input must be [..., T, {self.d_model}], got {x.shape}")
         q = self.Wq.forward(x)
         k = self.Wk.forward(x)
         v = self.Wv.forward(x)
@@ -145,7 +149,7 @@ def sinusoidal_positions(n: int, d: int) -> np.ndarray:
 
 
 class TransformerEncoder:
-    """`n_layers` post-norm blocks over a [T, d_model] sequence.
+    """`n_layers` post-norm blocks over [..., T, d_model] sequences.
 
     Sinusoidal positions are added on entry; `add_positional=False` is a test
     hook that restores permutation equivariance.
@@ -161,12 +165,13 @@ class TransformerEncoder:
         ]
 
     def forward(self, x: Tensor, add_positional: bool = True) -> Tensor:
-        if x.data.ndim != 2 or x.shape[0] < 1:
-            raise ShapeError(f"encoder input must be [T>=1, d], got {x.shape}")
-        if x.shape[1] != self.d_model:
+        if x.data.ndim < 2 or x.shape[-2] < 1:
+            raise ShapeError(f"encoder input must be [..., T>=1, d], got {x.shape}")
+        if x.shape[-1] != self.d_model:
             raise ShapeError(f"encoder expects d_model={self.d_model}, got {x.shape}")
         if add_positional:
-            x = T.add(x, Tensor(sinusoidal_positions(x.shape[0], self.d_model)))
+            table = sinusoidal_positions(x.shape[-2], self.d_model)
+            x = T.add(x, Tensor(np.broadcast_to(table, x.shape)))
         for block in self.blocks:
             x = block.forward(x)
         return x
@@ -201,5 +206,5 @@ class EmbeddingTable:
 
 
 def mean_pool(x: Tensor) -> Tensor:
-    """Columnwise mean of a [T, d] sequence -> [d] embedding."""
+    """Columnwise mean of [..., T, d] sequences -> [..., d] embeddings."""
     return T.mean_axis0(x)

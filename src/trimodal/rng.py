@@ -19,9 +19,13 @@ where mix64 is the SplitMix64 finalizer:
 Derived quantities:
 
     uniform in [0, 1):  (out >> 11) * 2^-53
-    normal:             Box-Muller on consecutive pairs (u1 in (0, 1], u2 in
-                        [0, 1)): z0 = sqrt(-2 ln u1) cos(2 pi u2),
-                        z1 = sqrt(-2 ln u1) sin(2 pi u2), emitted in order
+    normal (n draws):   Box-Muller on one block of 2p outputs, p = ceil(n / 2):
+                        for k < p, u1_k = ((out_k >> 11) + 1) * 2^-53 in (0, 1]
+                        from the first half, u2_k = (out_{p+k} >> 11) * 2^-53
+                        in [0, 1) from the second half;
+                        z_2k = sqrt(-2 ln u1_k) cos(2 pi u2_k),
+                        z_2k+1 = sqrt(-2 ln u1_k) sin(2 pi u2_k); the first n
+                        z in order, times sigma
     integer in [0, b):  out mod b   (modulo bias is irrelevant at these scales)
     shuffle:            Fisher-Yates, descending index, j = draw mod (i + 1)
 

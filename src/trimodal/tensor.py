@@ -5,9 +5,16 @@ compute the forward result with numpy and attach a closure producing the
 parent gradients; `backward` walks the recorded graph in reverse topological
 order. Graphs are rebuilt each step and never cached.
 
+Row-structured ops (`matmul`, `transpose`, `add_rowvec`, `mean_axis0`,
+`softmax_rows`, `layer_norm_rows`, `slice_cols`, `concat_cols`) act on the
+last axis, or the last two, of a `[..., T, d]` array: a leading batch axis
+stacks independent samples, and every sample's values are bitwise those of
+the same op on its own `[T, d]` matrix.
+
 Design constraints honoured throughout:
   * float64 only, row-major storage;
-  * no broadcasting except row-wise bias addition (`add_rowvec`);
+  * no broadcasting except bias addition over rows (`add_rowvec`) and a 2-D
+    `matmul` weight shared across a stack;
   * any NaN/Inf appearing at an op boundary raises `NumericError` instead of
     propagating;
   * single-threaded execution per graph, bitwise deterministic.
@@ -62,7 +69,9 @@ def _ensure_finite(arr: np.ndarray, op: str) -> np.ndarray:
 class Tensor:
     """A float64 array plus optional gradient buffer and graph linkage."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op", "_consumed")
+    # `__weakref__` lets a caller check that a graph was freed without keeping it alive.
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op", "_consumed",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         # np.array keeps 0-d shapes (ascontiguousarray would promote to 1-d)
@@ -232,26 +241,40 @@ def log(a: Tensor) -> Tensor:
 # linear algebra
 # ---------------------------------------------------------------------------
 
+def _swap(x: np.ndarray) -> np.ndarray:
+    """The last two axes swapped (`.T` of a matrix), as a view."""
+    return x.swapaxes(-1, -2)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul: operands must be 2-D, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    """`[..., n, k] @ [k, m]` with the weight shared across the stack, or
+    `[..., n, k] @ [..., k, m]` with equal leading shapes: one product per
+    stacked matrix, never one flattened product."""
+    if a.data.ndim < 2 or b.data.ndim not in (2, a.data.ndim):
+        raise ShapeError(f"matmul: operands must be [..., n, k] and [k, m] or [..., k, m], "
+                         f"got {a.shape} and {b.shape}")
+    if b.data.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
+        raise ShapeError(f"matmul: leading dims disagree ({a.shape} x {b.shape})")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dims disagree ({a.shape} x {b.shape})")
-    return _node(
-        a.data @ b.data,
-        (a, b),
-        lambda g: (g @ b.data.T, a.data.T @ g),
-        "matmul",
-    )
+
+    def back(g):
+        gb = _swap(a.data) @ g
+        if gb.ndim > b.data.ndim:  # a shared weight sums its per-matrix gradients
+            gb = gb.reshape(-1, *b.shape).sum(axis=0)
+        return (g @ _swap(b.data), gb)
+
+    return _node(a.data @ b.data, (a, b), back, "matmul")
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose: expected 2-D, got {a.shape}")
+    """Swap the last two axes of a `[..., n, m]` array."""
+    if a.data.ndim < 2:
+        raise ShapeError(f"transpose: expected at least 2-D, got {a.shape}")
     return _node(
-        np.ascontiguousarray(a.data.T),
+        np.ascontiguousarray(_swap(a.data)),
         (a,),
-        lambda g: (np.ascontiguousarray(g.T),),
+        lambda g: (np.ascontiguousarray(_swap(g)),),
         "transpose",
     )
 
@@ -268,13 +291,13 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add_rowvec(x: Tensor, b: Tensor) -> Tensor:
-    """`x[n, d] + b[d]`, the one sanctioned broadcast (bias over rows)."""
-    if x.data.ndim != 2 or b.data.ndim != 1 or x.shape[1] != b.shape[0]:
+    """`x[..., n, d] + b[d]`: a bias added to every row."""
+    if x.data.ndim < 2 or b.data.ndim != 1 or x.shape[-1] != b.shape[0]:
         raise ShapeError(f"add_rowvec: got {x.shape} and {b.shape}")
     return _node(
-        x.data + b.data[None, :],
+        x.data + b.data,
         (x, b),
-        lambda g: (g, g.sum(axis=0)),
+        lambda g: (g, g.reshape(-1, b.shape[0]).sum(axis=0)),
         "add_rowvec",
     )
 
@@ -293,14 +316,14 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 def mean_axis0(x: Tensor) -> Tensor:
-    """Columnwise mean of a [n, d] matrix -> [d]."""
-    if x.data.ndim != 2 or x.shape[0] < 1:
-        raise ShapeError(f"mean_axis0: expected non-empty 2-D, got {x.shape}")
-    n = x.shape[0]
+    """Columnwise mean of each [n, d] matrix of a [..., n, d] array -> [..., d]."""
+    if x.data.ndim < 2 or x.shape[-2] < 1:
+        raise ShapeError(f"mean_axis0: expected non-empty [..., n, d], got {x.shape}")
+    n = x.shape[-2]
     return _node(
-        x.data.mean(axis=0),
+        x.data.mean(axis=-2),
         (x,),
-        lambda g: (np.tile(g / n, (n, 1)),),
+        lambda g: (np.repeat(np.expand_dims(g / n, -2), n, axis=-2),),
         "mean_axis0",
     )
 
@@ -337,32 +360,34 @@ def stack_rows(rows: Sequence[Tensor]) -> Tensor:
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate [n, d_i] matrices along columns."""
+    """Concatenate [..., n, d_i] arrays along their last axis."""
     if not parts:
         raise ShapeError("concat_cols: empty input")
-    n = parts[0].shape[0]
+    lead = parts[0].shape[:-1]
     for p in parts:
-        if p.data.ndim != 2 or p.shape[0] != n:
-            raise ShapeError("concat_cols: parts must be 2-D with equal row count")
-    widths = [p.shape[1] for p in parts]
+        if p.data.ndim < 2 or p.shape[:-1] != lead:
+            raise ShapeError("concat_cols: parts must be at least 2-D with equal leading dims")
+    widths = [p.shape[-1] for p in parts]
     offsets = np.cumsum([0] + widths)
 
     def back(g):
-        return tuple(g[:, offsets[i]:offsets[i + 1]] for i in range(len(widths)))
+        return tuple(g[..., offsets[i]:offsets[i + 1]] for i in range(len(widths)))
 
-    return _node(np.concatenate([p.data for p in parts], axis=1), tuple(parts), back, "concat_cols")
+    return _node(np.concatenate([p.data for p in parts], axis=-1), tuple(parts), back,
+                 "concat_cols")
 
 
 def slice_cols(x: Tensor, lo: int, hi: int) -> Tensor:
-    if x.data.ndim != 2 or not (0 <= lo < hi <= x.shape[1]):
+    """Columns `lo:hi` of a [..., n, d] array."""
+    if x.data.ndim < 2 or not (0 <= lo < hi <= x.shape[-1]):
         raise ShapeError(f"slice_cols: [{lo}:{hi}] invalid for shape {x.shape}")
 
     def back(g):
         gx = np.zeros_like(x.data)
-        gx[:, lo:hi] = g
+        gx[..., lo:hi] = g
         return (gx,)
 
-    return _node(np.ascontiguousarray(x.data[:, lo:hi]), (x,), back, "slice_cols")
+    return _node(np.ascontiguousarray(x.data[..., lo:hi]), (x,), back, "slice_cols")
 
 
 def gather_rows(x: Tensor, idx) -> Tensor:
@@ -416,15 +441,16 @@ def diag_part(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def softmax_rows(x: Tensor) -> Tensor:
-    """Row softmax with row-max subtraction; rows sum to 1."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"softmax_rows: expected 2-D, got {x.shape}")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
+    """Softmax over the last axis of [..., n, d] with row-max subtraction;
+    rows sum to 1."""
+    if x.data.ndim < 2:
+        raise ShapeError(f"softmax_rows: expected at least 2-D, got {x.shape}")
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    p = e / e.sum(axis=1, keepdims=True)
+    p = e / e.sum(axis=-1, keepdims=True)
 
     def back(g):
-        inner = (g * p).sum(axis=1, keepdims=True)
+        inner = (g * p).sum(axis=-1, keepdims=True)
         return (p * (g - inner),)
 
     return _node(p, (x,), back, "softmax_rows")
@@ -447,27 +473,28 @@ def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
 
 
 def layer_norm_rows(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row standardization of [n, d], then elementwise affine (gamma, beta)."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"layer_norm_rows: expected 2-D, got {x.shape}")
-    d = x.shape[1]
+    """Per-row standardization of [..., n, d] over its last axis, then
+    elementwise affine (gamma, beta)."""
+    if x.data.ndim < 2:
+        raise ShapeError(f"layer_norm_rows: expected at least 2-D, got {x.shape}")
+    d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError("layer_norm_rows: gamma/beta must be [d]")
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = x.data.var(axis=1, keepdims=True)
+    mu = x.data.mean(axis=-1, keepdims=True)
+    var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
 
     def back(g):
-        dgamma = (g * xhat).sum(axis=0)
-        dbeta = g.sum(axis=0)
-        dxhat = g * gamma.data[None, :]
-        m1 = dxhat.mean(axis=1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
+        dgamma = (g * xhat).reshape(-1, d).sum(axis=0)
+        dbeta = g.reshape(-1, d).sum(axis=0)
+        dxhat = g * gamma.data
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
         dx = inv * (dxhat - m1 - xhat * m2)
         return (dx, dgamma, dbeta)
 
-    return _node(xhat * gamma.data[None, :] + beta.data[None, :], (x, gamma, beta), back, "layer_norm_rows")
+    return _node(xhat * gamma.data + beta.data, (x, gamma, beta), back, "layer_norm_rows")
 
 
 def cross_entropy_rows(logits: Tensor, labels) -> Tensor:

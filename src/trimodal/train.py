@@ -122,6 +122,8 @@ def pretrain(cfg: dict, data_dir, out_path, log_path=None, resume=None) -> Train
                     "total": final_loss, "skipped_terms": list(lb.skipped),
                     "wall_ms": round((time.monotonic() - t0) * 1000.0, 3),
                 }
+                # Free this step's graph before the next forward builds its own.
+                del emb, cents, lb
                 log.write(json.dumps(record) + "\n")
                 global_step += 1
             if fully_skipped * 2 > len(batches):

@@ -144,6 +144,35 @@ class TestMalformedInputs:
         assert str(bad) in err and message in err
 
     @pytest.mark.parametrize("forge, message", [
+        (lambda blob: blob["stack_dims"].pop("vocab"), "no positive integer 'vocab'"),
+        (lambda blob: blob["stack_dims"].pop("d_audio_raw"), "no positive integer 'd_audio_raw'"),
+        (lambda blob: blob.update(stack_dims=list(blob["stack_dims"].values())),
+         "'stack_dims' in entry 'config' is not an object"),
+        (lambda blob: blob["stack_dims"].update(n_heads=3), "model.d_model"),
+    ], ids=["no-vocab", "no-d_audio_raw", "list", "bad-model-key"])
+    def test_forged_stack_dims_exit_3(self, cli_env, tmp_path, capsys, forge, message):
+        entries = _read_archive(cli_env["ckpt"])
+        blob = json.loads(entries["config"].tobytes())
+        forge(blob)
+        entries["config"] = np.frombuffer(json.dumps(blob).encode(), dtype=np.uint8)
+        bad = tmp_path / "forged.lavc"
+        _write_archive(bad, list(entries.items()))
+        assert main(["probe", "--ckpt", str(bad), "--data", str(cli_env["data"])]) == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and message in err
+
+    @pytest.mark.parametrize("counters", [[3.0, 1.0], [3.0, 1.0, 0.5], [3.0, -1.0, 3.0],
+                                          [[3.0, 1.0, 3.0]]], ids=str)
+    def test_forged_counters_exit_3(self, cli_env, tmp_path, capsys, counters):
+        entries = _read_archive(cli_env["ckpt"])
+        entries["state.counters"] = np.array(counters)
+        bad = tmp_path / "forged.lavc"
+        _write_archive(bad, list(entries.items()))
+        assert main(["probe", "--ckpt", str(bad), "--data", str(cli_env["data"])]) == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and "'state.counters'" in err
+
+    @pytest.mark.parametrize("forge, message", [
         (lambda entries: entries.pop("config"), "missing entry 'config'"),
         (lambda entries: entries.update({"param.probe.W": np.zeros(4)}), "do not form"),
     ], ids=["no-config", "1d-weight"])

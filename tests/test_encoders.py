@@ -80,6 +80,33 @@ class TestSingleSampleEncoders:
         assert err < 1e-4
 
 
+class TestStackedEncoders:
+    """A [B, T, d] stack encodes each sample bitwise as its own call does."""
+
+    @pytest.mark.parametrize("b", [1, 3, 7])
+    @pytest.mark.parametrize("t", [1, 5, 12])
+    def test_stacked_rows_equal_one_sample_calls(self, b, t):
+        stack = small_stack(seed=4, n_layers=2)
+        s = Stream(9, "stacked", b, t)
+        video, audio = s.normal((b, t, 5)), s.normal((b, t, 4))
+        for encode, x in ((stack.encode_video, video), (stack.encode_audio, audio)):
+            rows = encode(Tensor(x))
+            assert rows.shape == (b, 8)
+            for i in range(b):
+                assert rows.data[i].tobytes() == encode(Tensor(x[i])).data.tobytes()
+
+    def test_stacked_gradients(self):
+        stack = small_stack(n_heads=2)
+        x = Tensor(Stream(6).normal((2, 3, 5)))
+        leaves = [stack.video_in.W, stack.f_v.blocks[0].attn.Wq.W, stack.f_v.blocks[0].ln2.gamma]
+        weights = Tensor(Stream(6, "w").uniform((2, 8)))
+
+        def forward():
+            return T.sum_all(T.mul(stack.encode_video(x), weights))
+
+        assert max_rel_err(leaves, forward) < 1e-4
+
+
 class TestProjection:
     def test_unit_norm_rows(self):
         stack = small_stack()

@@ -9,9 +9,11 @@ import pytest
 from trimodal import config as cfg_mod
 from trimodal.checkpoint import load_checkpoint
 from trimodal.data import generate_synthetic
+from trimodal.encoders import ModalityFeatures
 from trimodal.errors import AvailabilityError, ConfigError
-from trimodal.evaluate import (ProbeConfig, _embed, evaluate, evaluate_all_splits,
+from trimodal.evaluate import (MODES, ProbeConfig, embed_frozen, evaluate, evaluate_all_splits,
                                fuse_embeddings, load_probe, save_probe, train_probe)
+from trimodal.rng import Stream
 from trimodal.tensor import Tensor
 
 
@@ -67,7 +69,55 @@ class TestFreezing:
         head = train_probe(stack, man, "audio+video", ProbeConfig(epochs=1))
         evaluate(stack, head, man, "test1", clips_per_video=2)
         assert outputs and not any(z.requires_grad for z in outputs)
-        assert np.array_equal(_embed(stack, feats, "video"), recorded.data)
+        assert np.array_equal(embed_frozen(stack, [feats], "video")[0], recorded.data)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_one_encoder_call_per_length_and_split(self, trained, monkeypatch, mode):
+        # stacked embedding: one call per distinct sequence length per split,
+        # not one per sample or clip, and none of them records a graph
+        _, man, stack = trained
+        calls = {"encode_video": [], "encode_audio": []}
+        for name, out in calls.items():
+            def spy(x, encode=getattr(stack, name), out=out):
+                out.append(encode(x))
+                return out[-1]
+            monkeypatch.setattr(stack, name, spy)
+
+        def lengths(split, modality):
+            feats = [man.load_features(r) for r in man.records_for(split)]
+            return {getattr(f, modality).shape[0] for f in feats
+                    if mode == "video" or f.has_audio}
+
+        head = train_probe(stack, man, mode, ProbeConfig(epochs=1))
+        evaluate(stack, head, man, "test1", clips_per_video=4)
+        video_calls = len(lengths("train", "video")) + len(lengths("test1", "video"))
+        audio_calls = 0 if mode == "video" else (
+            len(lengths("train", "audio")) + len(lengths("test1", "audio")))
+        assert len(calls["encode_video"]) == video_calls
+        assert len(calls["encode_audio"]) == audio_calls
+        assert not any(z.requires_grad for out in calls.values() for z in out)
+
+    def test_stacked_rows_keep_input_order(self, trained):
+        # mixed video lengths and mixed audio availability: every row equals
+        # that sample's own one-sample encoding, bit for bit
+        _, _, stack = trained
+        s = Stream(21, "mixed")
+        shapes = [(4, 3), (2, None), (4, 5), (1, 3), (2, 1), (4, None), (1, 5)]
+        samples = [ModalityFeatures(
+            video=Tensor(s.normal((t_v, stack.dims["d_video_raw"]))),
+            audio=None if t_a is None else Tensor(s.normal((t_a, stack.dims["d_audio_raw"]))))
+            for t_v, t_a in shapes]
+        for mode in MODES:
+            rows = embed_frozen(stack, samples, mode)
+            assert len(rows) == len(samples)
+            for f, row in zip(samples, rows):
+                if mode == "audio+video" and not f.has_audio:
+                    assert row is None
+                    continue
+                expect = stack.encode_video(f.video).data
+                if mode == "audio+video":
+                    expect = np.concatenate([expect, stack.encode_audio(f.audio).data])
+                assert row.tobytes() == expect.tobytes()
 
 
 class TestProbeTraining:
@@ -119,6 +169,12 @@ class TestFusion:
         z_a = Tensor([3.0])
         fused = fuse_embeddings(z_v, z_a)
         assert fused.data.tolist() == [1.0, 2.0, 3.0]
+
+    def test_rows_fuse_per_sample(self):
+        fused = fuse_embeddings(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[5.0], [6.0]]))
+        assert fused.data.tolist() == [[1.0, 2.0, 5.0], [3.0, 4.0, 6.0]]
+        with pytest.raises(ConfigError):
+            fuse_embeddings(Tensor([[1.0, 2.0]]), Tensor([[5.0], [6.0]]))
 
     def test_missing_audio_rejected(self):
         with pytest.raises(AvailabilityError):

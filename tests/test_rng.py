@@ -1,6 +1,7 @@
 """SplitMix64 stream determinism, distribution sanity and golden values."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -111,6 +112,21 @@ class TestGoldenValues:
         assert s.normal(sigma=2.0) == pytest.approx(0.7044031794220494, rel=1e-15)
         assert s.integers(6, 10).tolist() == [0, 5, 5, 1, 4, 7]
         assert s.permutation(10) == [3, 7, 0, 9, 4, 8, 6, 2, 1, 5]
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 6])
+    def test_normal_follows_documented_definition(self, n):
+        # Rebuilt from raw outputs as the module docstring defines it: u1 from
+        # the first half of the block, u2 from the second half, not pairs.
+        pairs = (n + 1) // 2
+        raw = [out >> 11 for out in Stream(3, "normal", n).u64(2 * pairs).tolist()]
+        expect = []
+        for k in range(pairs):
+            u1 = (raw[k] + 1.0) * 2.0**-53
+            u2 = raw[pairs + k] * 2.0**-53
+            r = math.sqrt(-2.0 * math.log(u1))
+            expect += [r * math.cos(2.0 * math.pi * u2), r * math.sin(2.0 * math.pi * u2)]
+        got = Stream(3, "normal", n).normal(n, sigma=1.5)
+        assert got.tolist() == pytest.approx([1.5 * z for z in expect[:n]], rel=1e-14)
 
     def test_long_permutation_digest(self):
         perm = Stream(42, "batches", 3).permutation(336)

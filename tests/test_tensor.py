@@ -212,6 +212,47 @@ class TestStructuralOps:
         assert np.array_equal(T.mean_axis0(x).data, [2.0, 2.0])
 
 
+class TestStackedOps:
+    """Row-structured ops on a [B, n, d] stack give, per stacked matrix, the
+    bits of the same op on that matrix alone."""
+
+    X = Stream(31, "stacked").normal((3, 4, 6))
+    Y = Stream(32, "stacked").normal((3, 6, 4))
+    W = Stream(33, "stacked").normal((6, 5))
+    V = Stream(34, "stacked").normal(6)
+
+    CASES = {
+        "matmul-shared": lambda x, y: T.matmul(x, Tensor(TestStackedOps.W)),
+        "matmul-batched": lambda x, y: T.matmul(x, y),
+        "transpose": lambda x, y: T.transpose(x),
+        "add_rowvec": lambda x, y: T.add_rowvec(x, Tensor(TestStackedOps.V)),
+        "mean_axis0": lambda x, y: T.mean_axis0(x),
+        "softmax_rows": lambda x, y: T.softmax_rows(x),
+        "layer_norm_rows": lambda x, y: T.layer_norm_rows(
+            x, Tensor(TestStackedOps.V + 1.5), Tensor(TestStackedOps.V)),
+        "slice_cols": lambda x, y: T.slice_cols(x, 1, 4),
+        "concat_cols": lambda x, y: T.concat_cols([x, T.slice_cols(x, 0, 2)]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_stack_equals_per_matrix(self, name):
+        op = self.CASES[name]
+        stacked = op(Tensor(self.X), Tensor(self.Y)).data
+        for b in range(self.X.shape[0]):
+            alone = op(Tensor(self.X[b]), Tensor(self.Y[b])).data
+            assert stacked[b].tobytes() == alone.tobytes()
+
+    def test_matmul_leading_dims_must_agree(self):
+        with pytest.raises(ShapeError):
+            T.matmul(Tensor(self.X), Tensor(self.Y[:2]))
+        with pytest.raises(ShapeError):
+            T.matmul(Tensor(self.W), Tensor(self.Y))  # a 2-D left operand is not broadcast
+
+    def test_concat_leading_dims_must_agree(self):
+        with pytest.raises(ShapeError):
+            T.concat_cols([Tensor(self.X), Tensor(self.X[:2])])
+
+
 class TestEveryOpGradient:
     """Invariant: all differentiable ops match finite differences."""
 

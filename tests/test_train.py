@@ -1,6 +1,7 @@
 """Training loop: determinism, checkpointing, resumption, abort handling."""
 
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from trimodal import config as cfg_mod
 from trimodal import train as train_mod
 from trimodal.checkpoint import load_checkpoint, save_checkpoint
 from trimodal.data import generate_synthetic
+from trimodal.encoders import EncoderStack
 from trimodal.errors import ConfigError, FormatError, NumericError, TrainingAborted
 from trimodal.train import pretrain
 
@@ -37,6 +39,35 @@ class TestDeterminism:
     def test_total_is_sum_of_terms(self, tiny_run):
         for rec in read_log(tiny_run.log_path):
             assert rec["total"] == rec["L_AV"] + rec["L_VT"] + rec["L_AVT"]
+
+
+class TestMemory:
+    def test_step_graph_freed_before_next_forward(self, tiny_cfg, tiny_dataset, tmp_path,
+                                                  monkeypatch):
+        # Only one step's graph may be alive at a time: when a forward starts,
+        # nothing of the previous step (embeddings, centroids, loss root) is.
+        step_refs: list = []
+        alive_at_forward: list[bool] = []
+        embed, total = EncoderStack.embed_batch, train_mod.loss_total
+
+        def spy_embed(stack, batch, **kw):
+            alive_at_forward.append(any(ref() is not None for ref in step_refs))
+            step_refs.clear()
+            emb = embed(stack, batch, **kw)
+            step_refs.append(weakref.ref(emb))
+            return emb
+
+        def spy_loss(emb, cents, cfg):
+            lb = total(emb, cents, cfg)
+            step_refs.extend([weakref.ref(lb), weakref.ref(lb.total), weakref.ref(cents)])
+            return lb
+
+        monkeypatch.setattr(EncoderStack, "embed_batch", spy_embed)
+        monkeypatch.setattr(train_mod, "loss_total", spy_loss)
+        cfg = cfg_mod.validate({**tiny_cfg, "train": {**tiny_cfg["train"], "epochs": 1}})
+        res = pretrain(cfg, tiny_dataset.root, tmp_path / "m.lavc")
+        assert len(alive_at_forward) == res.steps > 1
+        assert not any(alive_at_forward)
 
 
 class TestAblationConfigs:
