@@ -9,7 +9,7 @@ Layout:
 Entry names: `param.<hierarchical name>`, `adam.m.<name>`, `adam.v.<name>`,
 `state.counters` (float64 [step, epochs_done, adam_t]) and `config` (the
 JSON document as a uint8 byte tensor). Names must be unique; readers reject
-bad magic, duplicates and truncation.
+bad magic, duplicates and truncation. Archives are written atomically.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ def _write_archive(path, entries: list[tuple[str, np.ndarray]]) -> None:
     names = [name for name, _ in entries]
     if len(set(names)) != len(names):
         raise FormatError("duplicate entry names in checkpoint")
-    with open(path, "wb") as f:
+    with ltf.atomic_write(path) as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", len(entries)))
         for name, arr in entries:

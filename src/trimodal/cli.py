@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification failure (gradcheck), 2 configuration
-error, 3 I/O or file-format error, 4 numeric abort during training.
+error, 3 I/O or file-format error, 4 numeric abort (pre-training or probe fitting).
 """
 
 from __future__ import annotations
@@ -15,8 +15,10 @@ from . import config as cfg_mod
 from . import gradcheck
 from .checkpoint import load_checkpoint
 from .data import generate_synthetic, load_manifest
-from .errors import AvailabilityError, ConfigError, FormatError, MaskError, TrainingAborted
+from .errors import (AvailabilityError, ConfigError, FormatError, MaskError, NumericError,
+                     TrainingAborted)
 from .evaluate import evaluate_all_splits, load_probe, save_probe, train_probe
+from .ltf import atomic_write
 from .train import pretrain
 
 EXIT_OK = 0
@@ -104,7 +106,8 @@ def _cmd_eval(args) -> int:
     text = json.dumps(report.to_dict(), indent=2)
     print(text)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        with atomic_write(args.out) as f:
+            f.write((text + "\n").encode("utf-8"))
     return EXIT_OK
 
 
@@ -174,7 +177,7 @@ def main(argv=None) -> int:
     except (ConfigError, AvailabilityError, MaskError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except TrainingAborted as e:
+    except (TrainingAborted, NumericError) as e:
         print(f"numeric abort: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except (FormatError, OSError) as e:

@@ -5,6 +5,10 @@ A probe is one linear layer trained with cross-entropy on cached embeddings
 encoders never receive gradients; their parameters are bitwise untouched.
 Embedding runs without a graph, in one encoder call per modality and
 sequence length for a whole split (every clip of every video at once).
+The head is fitted on plain arrays with the arithmetic of `Linear.forward`
+and `cross_entropy_rows` (shared through `softmax_nll_rows`) and their
+backward, then the package's `Adam`: bitwise the graph-built fit, without a
+graph per minibatch.
 
 Test-set accuracy averages logits over several clips per video. Clip 0 is
 the stored feature block; further clips are fresh noise draws around the
@@ -28,7 +32,7 @@ from .layers import Linear
 from .ltf import load_ltf
 from .optim import Adam
 from .rng import Stream
-from .tensor import Tensor, backward, cross_entropy_rows, no_grad
+from .tensor import Tensor, _ensure_finite, no_grad, softmax_nll_rows
 
 MODES = ("video", "audio+video")
 TEST_SPLITS = ("test1", "test2", "test3")
@@ -197,13 +201,22 @@ def train_probe(stack: EncoderStack, manifest: Manifest, mode: str,
 
     head = Linear(x.shape[1], n_classes, probe_cfg.seed, "probe")
     adam = Adam(head.parameters())
+    W, b = head.W, head.b
+    _ensure_finite(x, "probe embeddings")
     for epoch in range(probe_cfg.epochs):
-        order = Stream(probe_cfg.seed, "probe-batches", epoch).permutation(len(x))
+        order = np.array(Stream(probe_cfg.seed, "probe-batches", epoch).permutation(len(x)))
         for start in range(0, len(order), probe_cfg.batch_size):
             idx = order[start:start + probe_cfg.batch_size]
-            loss = cross_entropy_rows(head.forward(Tensor(x[idx])), y[idx])
-            adam.zero_grad()
-            backward(loss)
+            xb = x[idx]
+            # `Linear.forward` and `cross_entropy_rows` with their backward,
+            # on plain arrays; `+ 0.0` turns -0.0 into +0.0 as accumulating
+            # into a zeroed gradient buffer does
+            logits = _ensure_finite(xb @ W.data + b.data, "probe logits")
+            loss, g = softmax_nll_rows(logits, y[idx])
+            _ensure_finite(loss, "probe loss")
+            g *= 1.0 / len(idx)
+            W.grad = xb.T @ g + 0.0
+            b.grad = g.sum(axis=0) + 0.0
             adam.step(probe_cfg.lr)
     return ProbeHead(linear=head, mode=mode, n_classes=n_classes)
 

@@ -8,18 +8,24 @@ Layout:
     dims   rank x u64, little-endian
     data   row-major payload, little-endian
 
-Readers reject bad magic, unknown dtypes, nonzero padding and truncated
-payloads; a payload larger than the rest of the file is rejected before it
-is read. uint8 exists only to embed opaque byte blobs (e.g. the config
+Readers reject bad magic, unknown dtypes, nonzero padding, dims that form
+no array shape and truncated payloads; a payload larger than the rest of the
+file is rejected before it is read, and `load_ltf` rejects NaN and infinite
+values. uint8 exists only to embed opaque byte blobs (e.g. the config
 document inside a checkpoint archive); numeric tensors are always float64.
+
+Files are written atomically (`atomic_write`): a write that fails, or a
+process that dies mid-write, leaves the previous file, never a truncated one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
+import os
 import struct
-from typing import BinaryIO
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -32,6 +38,25 @@ DTYPE_U8 = 1
 
 _DTYPES = {DTYPE_F64: np.dtype("<f8"), DTYPE_U8: np.dtype("u1")}
 _CODES = {np.dtype("float64"): DTYPE_F64, np.dtype("uint8"): DTYPE_U8}
+
+
+@contextlib.contextmanager
+def atomic_write(path) -> Iterator[BinaryIO]:
+    """A binary file whose bytes replace `path` only when the block completes.
+
+    The bytes go to a temporary file in the same directory, which
+    `os.replace` then moves over `path`. If the block raises, the temporary
+    file is removed and `path` keeps its previous contents."""
+    head, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def write_stream(f: BinaryIO, arr: np.ndarray) -> None:
@@ -76,12 +101,15 @@ def read_stream(f: BinaryIO, path: str = "<stream>") -> np.ndarray:
         raise FormatError(f"{path}: truncated (header declares {size} payload bytes, "
                           f"{left} left)")
     payload = _read_exact(f, size, path)
-    return np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+    try:
+        return np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+    except ValueError as e:  # empty payload, but dims numpy cannot represent
+        raise FormatError(f"{path}: dims {dims} are not an array shape ({e})") from e
 
 
 def save_ltf(path, value: Tensor | np.ndarray) -> None:
     arr = value.data if isinstance(value, Tensor) else np.asarray(value)
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         write_stream(f, arr)
 
 
@@ -94,4 +122,7 @@ def load_ltf(path) -> Tensor:
         raise FormatError(f"{path}: trailing bytes after payload")
     if arr.dtype != np.float64:
         raise FormatError(f"{path}: expected float64 payload")
-    return Tensor(arr)
+    if not np.isfinite(arr).all():
+        raise FormatError(f"{path}: payload holds NaN or infinite values")
+    with np.errstate(over="ignore"):  # the Tensor's finiteness screen sums the payload
+        return Tensor(arr)

@@ -115,8 +115,9 @@ class Stream:
         n = len(out)
         if n < 2:
             return out
-        for i, draw in zip(range(n - 1, 0, -1), self.u64(n - 1).tolist()):
-            j = draw % (i + 1)
+        # j for i = n-1 .. 1 is draw mod (i + 1), all reduced in one array op
+        js = (self.u64(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
+        for i, j in zip(range(n - 1, 0, -1), js):
             out[i], out[j] = out[j], out[i]
         return out
 

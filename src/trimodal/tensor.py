@@ -497,6 +497,23 @@ def layer_norm_rows(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -
     return _node(xhat * gamma.data + beta.data, (x, gamma, beta), back, "layer_norm_rows")
 
 
+def softmax_nll_rows(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-softmax cross-entropy of `[n, k]` logits on plain arrays.
+
+    Returns the mean negative log-likelihood of integer `labels` (0-d) and
+    its unscaled gradient `softmax - onehot`; the caller multiplies that by
+    its own upstream scale over n. Rows are shifted by their max first."""
+    n = logits.shape[0]
+    rows = np.arange(n)
+    top = logits.max(axis=1, keepdims=True)
+    p = np.exp(logits - top)
+    total = p.sum(axis=1, keepdims=True)
+    nll = (np.log(total[:, 0]) + top[:, 0]) - logits[rows, labels]
+    p /= total
+    p[rows, labels] -= 1.0
+    return np.asarray(nll.mean()), p
+
+
 def cross_entropy_rows(logits: Tensor, labels) -> Tensor:
     """Mean negative log-likelihood of integer labels under row softmax."""
     if logits.data.ndim != 2:
@@ -507,15 +524,5 @@ def cross_entropy_rows(logits: Tensor, labels) -> Tensor:
         raise ShapeError("cross_entropy_rows: one label per row required")
     if y.min() < 0 or y.max() >= k:
         raise ShapeError("cross_entropy_rows: label out of range")
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1)) + logits.data.max(axis=1)
-    nll = lse - logits.data[np.arange(n), y]
-    p = np.exp(shifted)
-    p /= p.sum(axis=1, keepdims=True)
-
-    def back(g):
-        gl = p.copy()
-        gl[np.arange(n), y] -= 1.0
-        return (gl * (float(g) / n),)
-
-    return _node(np.asarray(nll.mean()), (logits,), back, "cross_entropy_rows")
+    loss, gl = softmax_nll_rows(logits.data, y)
+    return _node(loss, (logits,), lambda g: (gl * (float(g) / n),), "cross_entropy_rows")

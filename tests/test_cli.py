@@ -235,6 +235,19 @@ class TestProbeAndEval:
                      str(cli_env["data"]), "--mode", "audio+video",
                      "--head", str(head), "--config", str(cli_env["cfg"])]) == 2
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_overflowing_probe_exit_4(self, cli_env, tmp_path, capsys):
+        doc = copy.deepcopy(TINY_OVERRIDES)
+        doc["eval"].update(probe_lr=1e308, probe_epochs=2)
+        cfg = tmp_path / "huge-lr.json"
+        cfg.write_text(json.dumps(doc))
+        code = main(["probe", "--ckpt", str(cli_env["ckpt"]), "--data", str(cli_env["data"]),
+                     "--mode", "video", "--config", str(cfg), "--out", str(tmp_path / "h.lavc")])
+        assert code == 4
+        assert "numeric abort" in capsys.readouterr().err
+        assert not (tmp_path / "h.lavc").exists()
+
     def test_fusion_on_audio_free_dataset_exit_2(self, cli_env, tmp_path, capsys):
         doc = copy.deepcopy(TINY_OVERRIDES)
         doc["data"]["p_available"] = 0.0

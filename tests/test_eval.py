@@ -10,11 +10,13 @@ from trimodal import config as cfg_mod
 from trimodal.checkpoint import load_checkpoint
 from trimodal.data import generate_synthetic
 from trimodal.encoders import ModalityFeatures
-from trimodal.errors import AvailabilityError, ConfigError
+from trimodal.errors import AvailabilityError, ConfigError, NumericError
 from trimodal.evaluate import (MODES, ProbeConfig, embed_frozen, evaluate, evaluate_all_splits,
                                fuse_embeddings, load_probe, save_probe, train_probe)
+from trimodal.layers import Linear
+from trimodal.optim import Adam
 from trimodal.rng import Stream
-from trimodal.tensor import Tensor
+from trimodal.tensor import Tensor, backward, cross_entropy_rows
 
 
 def fingerprint(stack) -> str:
@@ -129,6 +131,44 @@ class TestProbeTraining:
         assert documented.linear.W.shape == default.linear.W.shape
         assert np.array_equal(default.linear.W.data, documented.linear.W.data)
         assert np.array_equal(default.linear.b.data, documented.linear.b.data)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("batch_size", [32, 7])
+    def test_fit_matches_graph_loop(self, trained, mode, batch_size):
+        # the graph-built minibatch loop that `train_probe` replaced: the
+        # plain-array fit must reproduce its head bit for bit, including a
+        # short last minibatch
+        _, man, stack = trained
+        cfg = ProbeConfig(epochs=4, batch_size=batch_size)
+        records = man.records_for("train")
+        embs = embed_frozen(stack, [man.load_features(r) for r in records], mode)
+        kept = [(e, r.label) for e, r in zip(embs, records) if e is not None]
+        assert len(kept) % batch_size  # the last minibatch is short
+        x = np.stack([e for e, _ in kept])
+        y = np.array([label for _, label in kept], dtype=np.int64)
+        ref = Linear(x.shape[1], man.n_classes, cfg.seed, "probe")
+        adam = Adam(ref.parameters())
+        for epoch in range(cfg.epochs):
+            order = Stream(cfg.seed, "probe-batches", epoch).permutation(len(x))
+            for start in range(0, len(order), cfg.batch_size):
+                idx = order[start:start + cfg.batch_size]
+                loss = cross_entropy_rows(ref.forward(Tensor(x[idx])), y[idx])
+                adam.zero_grad()
+                backward(loss)
+                adam.step(cfg.lr)
+        head = train_probe(stack, man, mode, cfg)
+        assert head.linear.W.data.tobytes() == ref.W.data.tobytes()
+        assert head.linear.b.data.tobytes() == ref.b.data.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("lr", [1e306, 1e308], ids=["loss-overflows", "logits-overflow"])
+    def test_overflowing_fit_raises_numeric_error(self, trained, lr):
+        # on this stack lr 1e306 first overflows the mean NLL, 1e308 the
+        # logits (to +inf and -inf, which the finiteness screen's sum warns of)
+        _, man, stack = trained
+        with pytest.raises(NumericError):
+            train_probe(stack, man, "video", ProbeConfig(lr=lr, epochs=2))
 
     def test_separable_embeddings_reach_full_train_accuracy(self, tmp_path):
         # a strong per-class mean signal with zero noise is linearly separable

@@ -128,6 +128,17 @@ class TestGoldenValues:
         got = Stream(3, "normal", n).normal(n, sigma=1.5)
         assert got.tolist() == pytest.approx([1.5 * z for z in expect[:n]], rel=1e-14)
 
+    @pytest.mark.parametrize("n", [2, 3, 212, 336, 348, 1000])
+    def test_permutation_follows_documented_definition(self, n):
+        # Fisher-Yates as the module docstring defines it, one scalar draw at a time
+        for epoch in range(5):
+            expect = list(range(n))
+            draws = Stream(7, "probe-batches", epoch).u64(n - 1).tolist()
+            for i, draw in zip(range(n - 1, 0, -1), draws):
+                j = draw % (i + 1)
+                expect[i], expect[j] = expect[j], expect[i]
+            assert Stream(7, "probe-batches", epoch).permutation(n) == expect
+
     def test_long_permutation_digest(self):
         perm = Stream(42, "batches", 3).permutation(336)
         assert hashlib.sha256(str(perm).encode()).hexdigest() == (

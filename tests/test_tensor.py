@@ -90,6 +90,27 @@ class TestSoftmaxRows:
         assert err < 1e-6
 
 
+class TestCrossEntropyRows:
+    @pytest.mark.parametrize("n", [1, 7, 32])
+    def test_bits_match_two_pass_definition(self, n):
+        # the op's definition before `softmax_nll_rows` shared it with the
+        # probe fit: shifted logits exponentiated once for the log-sum-exp
+        # and once more for the softmax
+        logits = Stream(n, "ce").normal((n, 10), sigma=4.0)
+        y = Stream(n, "ce-labels").integers(n, 10)
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        lse = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
+        expect_loss = np.asarray((lse - logits[np.arange(n), y]).mean())
+        p = np.exp(shifted)
+        p /= p.sum(axis=1, keepdims=True)
+        p[np.arange(n), y] -= 1.0
+        x = leaf(logits)
+        loss = T.cross_entropy_rows(x, y)
+        backward(loss)
+        assert loss.data.tobytes() == expect_loss.tobytes()
+        assert x.grad.tobytes() == (np.zeros_like(p) + p * (1.0 / n)).tobytes()
+
+
 class TestL2NormalizeRows:
     def test_three_four_five(self):
         out = T.l2_normalize_rows(Tensor([[3.0, 4.0]])).data

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from trimodal import config as cfg_mod
+from trimodal import ltf
 from trimodal import train as train_mod
 from trimodal.checkpoint import load_checkpoint, save_checkpoint
 from trimodal.data import generate_synthetic
@@ -125,6 +126,27 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="duplicate"):
             _write_archive(tmp_path / "dup.lavc",
                            [("a", np.zeros(2)), ("a", np.zeros(2))])
+
+    def test_failed_write_keeps_previous_archive(self, tiny_run, tmp_path, monkeypatch):
+        # a save that fails after its first entry leaves the old checkpoint
+        # byte for byte, and no temporary file beside it
+        ck = load_checkpoint(tiny_run.checkpoint_path)
+        out = tmp_path / "ck.lavc"
+        out.write_bytes(tiny_run.checkpoint_path.read_bytes())
+        write_stream, written = ltf.write_stream, []
+
+        def fail_after_first(f, arr):
+            if written:
+                raise OSError("disk full")
+            written.append(arr)
+            write_stream(f, arr)
+
+        monkeypatch.setattr(ltf, "write_stream", fail_after_first)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(out, ck.stack, ck.adam, ck.config, ck.epochs_done + 1, ck.step + 1)
+        assert len(written) == 1
+        assert out.read_bytes() == tiny_run.checkpoint_path.read_bytes()
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.lavc"]
 
     def test_trailing_bytes_rejected(self, tiny_run, tmp_path):
         bad = tmp_path / "trail.lavc"
