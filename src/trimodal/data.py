@@ -24,7 +24,7 @@ import numpy as np
 from .config import section
 from .encoders import ModalityFeatures
 from .errors import ConfigError, FormatError
-from .ltf import load_ltf, save_ltf
+from .ltf import atomic_write, load_ltf, write_stream
 from .rng import Stream
 from .tensor import Tensor
 
@@ -166,30 +166,50 @@ def _assign_splits(cfg: SyntheticConfig, labels: np.ndarray) -> list[str]:
 
 
 def sample_video(cfg: SyntheticConfig, template: np.ndarray, seed_key: tuple) -> np.ndarray:
-    """One video feature block (one clip).
+    """One video feature block (one clip), or a stack of them.
 
     Per-position class template, plus a per-clip offset shared by every
     token (a camera/lighting-style nuisance that linear pooling cannot
     remove), plus elementwise noise. Draw order: offset, then noise.
+
+    A `seed_key` naming a stream family (see `rng`) gives `[*family, T, d]`
+    clips from a template stack that broadcasts to that shape; each clip is
+    bitwise the one its member stream's key draws alone.
     """
     s = Stream(*seed_key)
-    offset = s.normal(template.shape[1], sigma=cfg.offset_sigma_video)
-    noise = s.normal(template.shape, sigma=cfg.sigma_video)
-    return template + offset[None, :] + noise
+    offset = s.normal(template.shape[-1], sigma=cfg.offset_sigma_video)
+    noise = s.normal(template.shape[-2:], sigma=cfg.sigma_video)
+    return template + offset[..., None, :] + noise
 
 
 def sample_audio(cfg: SyntheticConfig, template: np.ndarray, seed_key: tuple) -> np.ndarray:
-    noise = Stream(*seed_key).normal(template.shape, sigma=cfg.sigma_audio)
+    """One audio block, or a stack of them for a family `seed_key` (as
+    `sample_video`)."""
+    noise = Stream(*seed_key).normal(template.shape[-2:], sigma=cfg.sigma_audio)
     return template + noise
 
 
+def _write_tensor(path: Path, arr: np.ndarray) -> None:
+    """A dataset tensor file, written in place: `manifest.jsonl`, replaced
+    last and atomically, is what makes the dataset complete."""
+    with open(path, "wb") as f:
+        write_stream(f, arr)
+
+
 def generate_synthetic(cfg: SyntheticConfig, out_dir, force: bool = False) -> Manifest:
-    """Write a complete dataset directory and return its loaded manifest."""
+    """Write a complete dataset directory and return its loaded manifest.
+
+    The tensor files are written first, then `meta.json`, then
+    `manifest.jsonl`, each of the last two atomically. With `force` the old
+    manifest goes first, so a run that fails part-way leaves a directory
+    that `load_manifest` refuses instead of an old manifest over new files.
+    """
     out = Path(out_dir)
     if out.exists() and any(out.iterdir()):
         if not force:
             raise FileExistsError(f"{out}: refusing to write into a non-empty directory "
                                   "(pass force=True / --force)")
+    (out / "manifest.jsonl").unlink(missing_ok=True)
     out.mkdir(parents=True, exist_ok=True)
     (out / "tensors").mkdir(exist_ok=True)
 
@@ -210,41 +230,84 @@ def generate_synthetic(cfg: SyntheticConfig, out_dir, force: bool = False) -> Ma
         k = int(labels[i])
         video = sample_video(cfg, m_video[k], (cfg.seed, "video", i))
         video_path = f"tensors/{sid}_video.ltf"
-        save_ltf(out / video_path, video)
+        _write_tensor(out / video_path, video)
         audio_path = text_path = None
         if has_audio[i]:
             audio = sample_audio(cfg, m_audio[k], (cfg.seed, "audio", i))
             audio_path = f"tensors/{sid}_audio.ltf"
-            save_ltf(out / audio_path, audio)
+            _write_tensor(out / audio_path, audio)
         if has_text[i]:
             toks = _sample_text(cfg, Stream(cfg.seed, "text", i), k)
             text_path = f"tensors/{sid}_text.ltf"
-            save_ltf(out / text_path, toks.astype(np.float64))
+            _write_tensor(out / text_path, toks.astype(np.float64))
         records.append(Record(sid, k, split_of[i], video_path, audio_path, text_path))
 
-    save_ltf(out / "templates_video.ltf", m_video)
-    save_ltf(out / "templates_audio.ltf", m_audio)
+    _write_tensor(out / "templates_video.ltf", m_video)
+    _write_tensor(out / "templates_audio.ltf", m_audio)
     meta = {
         "format": "trimodal-dataset-v1",
         "config": vars(cfg),
         "templates": {"video": "templates_video.ltf", "audio": "templates_audio.ltf"},
     }
-    (out / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    with open(out / "manifest.jsonl", "w") as f:
+    with atomic_write(out / "meta.json") as f:
+        f.write((json.dumps(meta, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    with atomic_write(out / "manifest.jsonl") as f:
         for r in records:
-            f.write(json.dumps({
-                "id": r.id, "label": r.label, "split": r.split,
-                "video_path": r.video_path, "audio_path": r.audio_path,
-                "text_path": r.text_path,
-            }, sort_keys=True) + "\n")
+            f.write((json.dumps(vars(r), sort_keys=True) + "\n").encode("utf-8"))
     return load_manifest(out)
+
+
+def _parse_record(obj, where: str, root: Path) -> Record:
+    """One manifest line's record, checked field by field."""
+    if not isinstance(obj, dict):
+        raise FormatError(f"{where}: a record must be a JSON object")
+    for key in ("id", "label", "split", "video_path"):
+        if obj.get(key) is None:
+            raise FormatError(f"{where}: missing field {key!r}")
+    if not isinstance(obj["id"], str):
+        raise FormatError(f"{where}: id must be a string")
+    if obj["split"] not in SPLITS:
+        raise FormatError(f"{where}: unknown split {obj['split']!r}")
+    if type(obj["label"]) is not int or obj["label"] < 0:  # bool is an int subclass
+        raise FormatError(f"{where}: label must be a non-negative int")
+    rec = Record(obj["id"], obj["label"], obj["split"], obj["video_path"],
+                 obj.get("audio_path"), obj.get("text_path"))
+    for p in (rec.video_path, rec.audio_path, rec.text_path):
+        if p is None:
+            continue
+        if not isinstance(p, str):
+            raise FormatError(f"{where}: file paths must be strings or null")
+        try:
+            found = (root / p).is_file()
+        except OSError as e:  # e.g. a name too long for the file system
+            raise FormatError(f"{where}: unusable file path {p!r} ({e})") from e
+        if not found:
+            raise FileNotFoundError(f"{where}: referenced file {p!r} does not exist "
+                                    "or is not a regular file")
+    return rec
+
+
+def _load_meta(path: Path) -> dict:
+    try:
+        meta = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise FormatError(f"{path}: not a JSON document ({e})") from e
+    if not isinstance(meta, dict):
+        raise FormatError(f"{path}: expected a JSON object")
+    if "config" in meta:
+        config = meta["config"]
+        n_classes = config.get("n_classes") if isinstance(config, dict) else None
+        if type(n_classes) is not int or n_classes < 1:
+            raise FormatError(f"{path}: config.n_classes must be a positive int")
+    return meta
 
 
 def load_manifest(path) -> Manifest:
     """Load a manifest (dataset dir or manifest.jsonl path), failing fast.
 
     Every referenced tensor file must exist at load time; a dangling path is
-    reported here rather than mid-training.
+    reported here rather than mid-training. A malformed line raises
+    `FormatError`, a missing file `FileNotFoundError`.
     """
     path = Path(path)
     manifest_path = path / "manifest.jsonl" if path.is_dir() else path
@@ -252,35 +315,28 @@ def load_manifest(path) -> Manifest:
     if not manifest_path.exists():
         raise FileNotFoundError(f"{manifest_path}: no manifest found")
     records = []
-    with open(manifest_path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    seen: set[str] = set()
+    with open(manifest_path, "rb") as f:
+        for lineno, raw in enumerate(f, start=1):
+            where = f"{manifest_path}:{lineno}"
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 obj = json.loads(line)
+            except UnicodeDecodeError as e:
+                raise FormatError(f"{where}: not UTF-8 ({e.reason})") from e
             except json.JSONDecodeError as e:
-                raise FormatError(f"{manifest_path}:{lineno}: invalid JSON ({e.msg})") from e
-            for key in ("id", "label", "split", "video_path"):
-                if obj.get(key) is None:
-                    raise FormatError(f"{manifest_path}:{lineno}: missing field {key!r}")
-            if obj["split"] not in SPLITS:
-                raise FormatError(f"{manifest_path}:{lineno}: unknown split {obj['split']!r}")
-            if not isinstance(obj["label"], int) or obj["label"] < 0:
-                raise FormatError(f"{manifest_path}:{lineno}: label must be a non-negative int")
-            rec = Record(obj["id"], obj["label"], obj["split"], obj["video_path"],
-                         obj.get("audio_path"), obj.get("text_path"))
-            for p in (rec.video_path, rec.audio_path, rec.text_path):
-                if p is not None and not (root / p).exists():
-                    raise FileNotFoundError(f"{manifest_path}:{lineno}: referenced file "
-                                            f"{p!r} does not exist")
+                raise FormatError(f"{where}: invalid JSON ({e.msg})") from e
+            rec = _parse_record(obj, where, root)
+            if rec.id in seen:  # features and clip streams are keyed by id
+                raise FormatError(f"{where}: duplicate id {rec.id!r}")
+            seen.add(rec.id)
             records.append(rec)
     if not records:
         raise FormatError(f"{manifest_path}: empty manifest")
-    meta = None
     meta_path = root / "meta.json"
-    if meta_path.exists():
-        meta = json.loads(meta_path.read_text())
+    meta = _load_meta(meta_path) if meta_path.exists() else None
     man = Manifest(root, records, meta)
     n_classes = man.n_classes
     for rec in records:

@@ -13,7 +13,8 @@ graph per minibatch.
 Test-set accuracy averages logits over several clips per video. Clip 0 is
 the stored feature block; further clips are fresh noise draws around the
 sample's class template, read from the dataset's meta record (the synthetic
-stand-in for sampling extra temporal crops).
+stand-in for sampling extra temporal crops). A split's extra clips come
+from one stream-family draw per modality, bitwise the per-clip streams.
 """
 
 from __future__ import annotations
@@ -165,16 +166,30 @@ class _ClipSource:
         self.m_video = load_ltf(manifest.root / t["video"]).data
         self.m_audio = load_ltf(manifest.root / t["audio"]).data if need_audio else None
 
-    def clip(self, rec: Record, stored: ModalityFeatures, j: int) -> ModalityFeatures:
-        if j == 0:
-            return stored
-        video = Tensor(sample_video(self.cfg, self.m_video[rec.label],
-                                    (self.seed, "clip-video", rec.id, j)))
-        audio = stored.audio
-        if stored.has_audio and self.m_audio is not None:
-            audio = Tensor(sample_audio(self.cfg, self.m_audio[rec.label],
-                                        (self.seed, "clip-audio", rec.id, j)))
-        return ModalityFeatures(video=video, audio=audio, text=stored.text)
+    def clips(self, records: list[Record], stored: list[ModalityFeatures],
+              n_clips: int) -> list[ModalityFeatures]:
+        """Clips 0..n_clips-1 of every record, record by record. Clip j of a
+        record is drawn from the stream `(seed, "clip-video", id, j)` (and
+        `"clip-audio"`); a whole split's clips come from one family draw per
+        modality."""
+        labels = [rec.label for rec in records]
+        key = ([rec.id for rec in records], range(1, n_clips))
+        video = sample_video(self.cfg, self.m_video[labels][:, None],
+                             (self.seed, "clip-video", *key))
+        audio = None
+        if self.m_audio is not None:
+            audio = sample_audio(self.cfg, self.m_audio[labels][:, None],
+                                 (self.seed, "clip-audio", *key))
+        out = []
+        for r, feats in enumerate(stored):
+            out.append(feats)
+            for j in range(n_clips - 1):
+                clip_audio = feats.audio
+                if audio is not None and feats.has_audio:
+                    clip_audio = Tensor(audio[r, j])
+                out.append(ModalityFeatures(video=Tensor(video[r, j]), audio=clip_audio,
+                                            text=feats.text))
+        return out
 
 
 def train_probe(stack: EncoderStack, manifest: Manifest, mode: str,
@@ -232,16 +247,15 @@ def evaluate(stack: EncoderStack, head: ProbeHead, manifest: Manifest, split: st
     source = None
     if clips_per_video > 1:
         source = _ClipSource(manifest, need_audio=(head.mode == "audio+video"), seed=seed)
-    scored, clips = [], []
+    scored, stored = [], []
     for rec in records:
-        stored = manifest.load_features(rec)
-        if not _embeddable(stored, head.mode):
-            continue
-        scored.append(rec)
-        clips.extend(stored if source is None else source.clip(rec, stored, j)
-                     for j in range(clips_per_video))
+        feats = manifest.load_features(rec)
+        if _embeddable(feats, head.mode):
+            scored.append(rec)
+            stored.append(feats)
     if not scored:
         raise AvailabilityError(f"split {split!r} has no scorable videos in mode {head.mode!r}")
+    clips = stored if source is None else source.clips(scored, stored, clips_per_video)
     embs = embed_frozen(stack, clips, head.mode)
     hits: dict[int, int] = {}
     totals: dict[int, int] = {}

@@ -146,6 +146,11 @@ def _case_add_rowvec(s):
     return [x, b, sx], lambda: _sum2(T.add_rowvec(x, b), T.add_rowvec(sx, b))
 
 
+def _case_linear(s):
+    x, W, b, sx = _leaf(s, (4, 3)), _leaf(s, (3, 2)), _leaf(s, (2,)), _leaf(s, (2, 2, 3))
+    return [x, W, b, sx], lambda: _sum2(T.linear(x, W, b), T.linear(sx, W, b))
+
+
 def _case_sum_all(s):
     a = _leaf(s, (3, 4))
     return [a], lambda: T.sum_all(a)
@@ -225,7 +230,8 @@ OP_CASES = {
     "add": _case_add, "sub": _case_sub, "mul": _case_mul, "neg": _case_neg,
     "scale": _case_scale, "add_scalar": _case_add_scalar, "relu": _case_relu,
     "exp": _case_exp, "log": _case_log, "matmul": _case_matmul,
-    "transpose": _case_transpose, "dot": _case_dot, "add_rowvec": _case_add_rowvec,
+    "transpose": _case_transpose, "dot": _case_dot, "linear": _case_linear,
+    "add_rowvec": _case_add_rowvec,
     "sum_all": _case_sum_all, "mean_axis0": _case_mean_axis0,
     "logsumexp_all": _case_logsumexp_all, "stack_rows": _case_stack_rows,
     "concat_cols": _case_concat_cols, "slice_cols": _case_slice_cols,

@@ -37,7 +37,7 @@ class Linear:
         self.b = Tensor(np.zeros(d_out), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        return T.add_rowvec(T.matmul(x, self.W), self.b)
+        return T.linear(x, self.W, self.b)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return [(self.name + ".W", self.W), (self.name + ".b", self.b)]

@@ -31,11 +31,20 @@ Derived quantities:
 
 Stream seeds are derived from (seed, *key) by folding each key element into
 the running state with mix64; strings fold byte by byte (see `_fold`).
+
+Stream families: a key element may also be a sequence of ints or strings,
+which adds one axis to the stream's family shape. `Stream(seed, "clip",
+ids, range(1, 4))` is an `[len(ids), 3]` family whose member `[r, j]` is
+the stream `Stream(seed, "clip", ids[r], j + 1)`. A family draws every
+member at once: `u64`, `uniform`, `normal` and `integers` return
+`[*family, *shape]` arrays whose rows are bitwise the member streams' own
+draws, and all members advance one shared counter.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -50,8 +59,9 @@ def mix64(z: int | np.ndarray) -> int | np.ndarray:
     return z ^ (z >> 31)
 
 
-def _fold(state: int, item: int | str) -> int:
-    """Fold one key element into a stream seed."""
+def _fold(state: int | np.ndarray, item: int | str) -> int | np.ndarray:
+    """Fold one key element into a stream seed, or into every seed of a
+    family (a uint64 array)."""
     if isinstance(item, str):
         for b in item.encode("utf-8"):
             state = mix64(state ^ mix64(b + _GOLDEN))  # b < 256: no wrap
@@ -61,22 +71,44 @@ def _fold(state: int, item: int | str) -> int:
     raise TypeError(f"stream key elements must be int or str, got {type(item).__name__}")
 
 
+def _fold_axis(state: int | np.ndarray, items) -> np.ndarray:
+    """Fold each of `items` into `state`: the seeds gain one trailing axis."""
+    out = np.empty((*np.shape(state), len(items)), dtype=np.uint64)
+    for i, item in enumerate(items):
+        out[..., i] = _fold(state, item)
+    return out
+
+
 class Stream:
-    """A deterministic, independently seeded random stream.
+    """A deterministic, independently seeded random stream, or a family of them.
 
     `Stream(seed, "video", 17)` always yields the same sequence, regardless
-    of what any other stream has produced.
+    of what any other stream has produced. `Stream(seed, "video", [3, 17])`
+    is the family of `Stream(seed, "video", 3)` and `Stream(seed, "video",
+    17)`: its draws carry a leading `[2]` axis, one row per member.
     """
 
-    def __init__(self, seed: int, *key: int | str):
+    def __init__(self, seed: int, *key: int | str | Sequence[int | str]):
         state = mix64(int(seed) & _MASK64)
         for item in key:
-            state = _fold(state, item)
-        self._seed = state
+            if isinstance(item, (list, tuple, range, np.ndarray)):
+                state = _fold_axis(state, item)
+            else:
+                state = _fold(state, item)
+        self.family: tuple[int, ...] = state.shape if isinstance(state, np.ndarray) else ()
+        # a family's seeds take a trailing axis that broadcasts over draws
+        self._seed = state[..., None] if self.family else state
         self._counter = 0
 
+    def _shaped(self, flat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray | float:
+        """`[*family, n]` draws as `[*family, *shape]`; one scalar draw of a
+        single stream as a float."""
+        if self.family or shape:
+            return flat.reshape(self.family + shape)
+        return float(flat[0])
+
     def u64(self, n: int) -> np.ndarray:
-        """Next `n` raw 64-bit outputs."""
+        """Next `n` raw 64-bit outputs (`[*family, n]`)."""
         idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
         return mix64(idx * _GOLDEN + self._seed)
@@ -84,9 +116,7 @@ class Stream:
     def uniform(self, shape: int | tuple[int, ...] = ()) -> np.ndarray | float:
         """Uniform float64 in [0, 1)."""
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        n = math.prod(shape)
-        out = (self.u64(n) >> 11) * 2.0**-53
-        return out.reshape(shape) if shape else float(out[0])
+        return self._shaped((self.u64(math.prod(shape)) >> 11) * 2.0**-53, shape)
 
     def normal(self, shape: int | tuple[int, ...] = (), sigma: float = 1.0) -> np.ndarray | float:
         """Standard-normal float64 draws via Box-Muller, scaled by `sigma`."""
@@ -94,14 +124,13 @@ class Stream:
         n = math.prod(shape)
         pairs = (n + 1) // 2
         raw = self.u64(2 * pairs) >> 11
-        u1 = (raw[:pairs] + 1.0) * 2.0**-53  # (0, 1]
-        u2 = raw[pairs:] * 2.0**-53          # [0, 1)
+        u1 = (raw[..., :pairs] + 1.0) * 2.0**-53  # (0, 1]
+        u2 = raw[..., pairs:] * 2.0**-53          # [0, 1)
         r = np.sqrt(-2.0 * np.log(u1))
-        out = np.empty(2 * pairs, dtype=np.float64)
-        out[0::2] = r * np.cos(2.0 * math.pi * u2)
-        out[1::2] = r * np.sin(2.0 * math.pi * u2)
-        out = out[:n] * sigma
-        return out.reshape(shape) if shape else float(out[0])
+        out = np.empty(raw.shape, dtype=np.float64)
+        out[..., 0::2] = r * np.cos(2.0 * math.pi * u2)
+        out[..., 1::2] = r * np.sin(2.0 * math.pi * u2)
+        return self._shaped(out[..., :n] * sigma, shape)
 
     def integers(self, n: int, bound: int) -> np.ndarray:
         """`n` integers in [0, bound) via modulo reduction."""
@@ -111,6 +140,8 @@ class Stream:
 
     def shuffle(self, items: list) -> list:
         """Fisher-Yates shuffle; returns a new list, input untouched."""
+        if self.family:
+            raise ValueError("shuffle draws from one stream, not a family")
         out = list(items)
         n = len(out)
         if n < 2:

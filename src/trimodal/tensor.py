@@ -5,16 +5,16 @@ compute the forward result with numpy and attach a closure producing the
 parent gradients; `backward` walks the recorded graph in reverse topological
 order. Graphs are rebuilt each step and never cached.
 
-Row-structured ops (`matmul`, `transpose`, `add_rowvec`, `mean_axis0`,
-`softmax_rows`, `layer_norm_rows`, `slice_cols`, `concat_cols`) act on the
-last axis, or the last two, of a `[..., T, d]` array: a leading batch axis
-stacks independent samples, and every sample's values are bitwise those of
-the same op on its own `[T, d]` matrix.
+Row-structured ops (`matmul`, `linear`, `transpose`, `add_rowvec`,
+`mean_axis0`, `softmax_rows`, `layer_norm_rows`, `slice_cols`, `concat_cols`)
+act on the last axis, or the last two, of a `[..., T, d]` array: a leading
+batch axis stacks independent samples, and every sample's values are bitwise
+those of the same op on its own `[T, d]` matrix.
 
 Design constraints honoured throughout:
   * float64 only, row-major storage;
-  * no broadcasting except bias addition over rows (`add_rowvec`) and a 2-D
-    `matmul` weight shared across a stack;
+  * no broadcasting except bias addition over rows (`linear`, `add_rowvec`)
+    and a 2-D weight shared across a stack (`linear`, `matmul`);
   * any NaN/Inf appearing at an op boundary raises `NumericError` instead of
     propagating;
   * single-threaded execution per graph, bitwise deterministic.
@@ -257,14 +257,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: leading dims disagree ({a.shape} x {b.shape})")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dims disagree ({a.shape} x {b.shape})")
+    return _node(a.data @ b.data, (a, b), lambda g: _matmul_grads(a.data, b.data, g), "matmul")
 
-    def back(g):
-        gb = _swap(a.data) @ g
-        if gb.ndim > b.data.ndim:  # a shared weight sums its per-matrix gradients
-            gb = gb.reshape(-1, *b.shape).sum(axis=0)
-        return (g @ _swap(b.data), gb)
 
-    return _node(a.data @ b.data, (a, b), back, "matmul")
+def _matmul_grads(a: np.ndarray, b: np.ndarray, g: np.ndarray) -> tuple:
+    """The gradients of `a @ b` for upstream `g`."""
+    gb = _swap(a) @ g
+    if gb.ndim > b.ndim:  # a shared weight sums its per-matrix gradients
+        gb = gb.reshape(-1, *b.shape).sum(axis=0)
+    return (g @ _swap(b), gb)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -288,6 +289,22 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
         lambda g: (g * b.data, g * a.data),
         "dot",
     )
+
+
+def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
+    """`x[..., n, k] @ W[k, m] + b[m]` as one node: bitwise
+    `add_rowvec(matmul(x, W), b)`, with the bias added into the product's
+    own buffer. The backward is those two ops' backward expressions."""
+    if (x.data.ndim < 2 or W.data.ndim != 2 or b.data.ndim != 1
+            or x.shape[-1] != W.shape[0] or W.shape[1] != b.shape[0]):
+        raise ShapeError(f"linear: got {x.shape} @ {W.shape} + {b.shape}")
+    out = x.data @ W.data
+    out += b.data
+
+    def back(g):
+        return (*_matmul_grads(x.data, W.data, g), g.reshape(-1, b.shape[0]).sum(axis=0))
+
+    return _node(out, (x, W, b), back, "linear")
 
 
 def add_rowvec(x: Tensor, b: Tensor) -> Tensor:
@@ -460,7 +477,8 @@ def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
     """Scale each row of a [n, d] matrix to unit Euclidean norm."""
     if x.data.ndim != 2:
         raise ShapeError(f"l2_normalize_rows: expected 2-D, got {x.shape}")
-    norms = np.linalg.norm(x.data, axis=1, keepdims=True)
+    # `np.linalg.norm(x, axis=1, keepdims=True)` without its Python wrapper
+    norms = np.sqrt(np.add.reduce(x.data * x.data, axis=1, keepdims=True))
     if np.any(norms <= eps):
         raise DegenerateVectorError("l2_normalize_rows: row with (near-)zero norm")
     y = x.data / norms
@@ -481,9 +499,10 @@ def layer_norm_rows(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError("layer_norm_rows: gamma/beta must be [d]")
     mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xc = x.data - mu
+    # `x.var(axis=-1)` computes exactly this, from its own copy of `x - mu`
+    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / d + eps)
+    xhat = xc * inv
 
     def back(g):
         dgamma = (g * xhat).reshape(-1, d).sum(axis=0)

@@ -4,9 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from trimodal import data
 from trimodal.data import (SPLITS, SyntheticConfig, _sample_text, augment_audio,
-                           generate_synthetic, load_manifest, make_batches)
+                           generate_synthetic, load_manifest, make_batches, sample_audio,
+                           sample_video)
 from trimodal.errors import ConfigError, FormatError
 from trimodal.ltf import save_ltf
 from trimodal.rng import Stream
@@ -87,6 +91,49 @@ class TestGeneration:
         assert np.allclose(clip, clip[0][None, :])  # every token sees one offset
         assert np.abs(clip[0]).max() > 0.0
 
+    def test_clip_stack_matches_per_clip_loop(self):
+        # one family draw per modality against one stream per (record, clip)
+        cfg = tiny_synth(offset_sigma_video=0.7)
+        m_video = Stream(2, "tv").normal((cfg.n_classes, cfg.t_video, cfg.d_video))
+        m_audio = Stream(2, "ta").normal((cfg.n_classes, cfg.t_audio, cfg.d_audio))
+        ids, labels = ["s0003", "s0011", "s0012", "x"], [2, 0, 2, 3]
+        video = sample_video(cfg, m_video[labels][:, None], (5, "clip-video", ids, range(1, 4)))
+        audio = sample_audio(cfg, m_audio[labels][:, None], (5, "clip-audio", ids, range(1, 4)))
+        assert video.shape == (4, 3, cfg.t_video, cfg.d_video)
+        assert audio.shape == (4, 3, cfg.t_audio, cfg.d_audio)
+        for r, (sid, label) in enumerate(zip(ids, labels)):
+            for j in range(1, 4):
+                want_v = sample_video(cfg, m_video[label], (5, "clip-video", sid, j))
+                want_a = sample_audio(cfg, m_audio[label], (5, "clip-audio", sid, j))
+                assert video[r, j - 1].tobytes() == want_v.tobytes()
+                assert audio[r, j - 1].tobytes() == want_a.tobytes()
+
+    @pytest.mark.parametrize("force", [False, True])
+    def test_failed_generation_leaves_no_manifest(self, tmp_path, monkeypatch, force):
+        # manifest.jsonl is the commit point: a run that dies among the tensor
+        # writes leaves a directory that does not load, also over an old dataset
+        out = tmp_path / "ds"
+        if force:
+            generate_synthetic(tiny_synth(), out)
+        calls = []
+        real = data.write_stream
+
+        def failing(f, arr):
+            calls.append(1)
+            if len(calls) == 7:
+                raise OSError("disk full")
+            real(f, arr)
+
+        monkeypatch.setattr(data, "write_stream", failing)
+        with pytest.raises(OSError, match="disk full"):
+            generate_synthetic(tiny_synth(seed=4), out, force=force)
+        with pytest.raises(FileNotFoundError):
+            load_manifest(out)
+        monkeypatch.undo()
+        generate_synthetic(tiny_synth(seed=4), out, force=True)
+        assert load_manifest(out).records
+        assert not [p for p in out.iterdir() if p.name.endswith(".tmp")]
+
     def test_independent_availability_mode(self, tmp_path):
         cfg = tiny_synth(n_samples=200, independent_availability=True)
         man = generate_synthetic(cfg, tmp_path / "ds")
@@ -148,11 +195,101 @@ class TestManifestLoading:
         with pytest.raises(FormatError, match="dev"):
             load_manifest(root)
 
+    @pytest.mark.parametrize("line, match", [
+        (b"[1, 2]", "JSON object"),
+        (b"5", "JSON object"),
+        (b'"train"', "JSON object"),
+        (b'{"id": "x", "label": 0, "split": "train", "video_path": 5}', "file paths"),
+        (b'{"id": "x", "label": 0, "split": "train", "video_path": "v.ltf", '
+         b'"audio_path": ["v.ltf"]}', "file paths"),
+        (b'{"id": "x", "label": true, "split": "train", "video_path": "v.ltf"}', "label"),
+        (b'{"id": "x", "label": 1.0, "split": "train", "video_path": "v.ltf"}', "label"),
+        (b'{"id": 3, "label": 0, "split": "train", "video_path": "v.ltf"}', "id"),
+        (b'{"id": "x", "label": 0, "split": ["train"], "video_path": "v.ltf"}', "split"),
+        (b'{"id": "x\xff", "label": 0}', "UTF-8"),
+    ])
+    def test_malformed_record_is_format_error(self, tmp_path, line, match):
+        root = tmp_path / "ds"
+        root.mkdir()
+        save_ltf(root / "v.ltf", np.zeros((2, 2)))
+        (root / "manifest.jsonl").write_bytes(line + b"\n")
+        with pytest.raises(FormatError, match=match):
+            load_manifest(root)
+
+    def test_duplicate_id_rejected(self, tmp_path):
+        # features are cached and clip streams keyed by id: a duplicate would
+        # silently take the first record's features
+        root = tmp_path / "ds"
+        root.mkdir()
+        save_ltf(root / "v.ltf", np.zeros((2, 2)))
+        rec = {"id": "x", "label": 0, "split": "train", "video_path": "v.ltf"}
+        (root / "manifest.jsonl").write_text(
+            json.dumps(rec) + "\n" + json.dumps({**rec, "label": 1}) + "\n")
+        with pytest.raises(FormatError, match=":2: duplicate id 'x'"):
+            load_manifest(root)
+
+    def test_directory_path_is_not_a_file(self, tmp_path):
+        root = tmp_path / "ds"
+        root.mkdir()
+        (root / "manifest.jsonl").write_text(json.dumps(
+            {"id": "x", "label": 0, "split": "train", "video_path": ""}) + "\n")
+        with pytest.raises(FileNotFoundError, match="not a regular file"):
+            load_manifest(root)
+
+    def test_malformed_meta_is_format_error(self, tmp_path):
+        man = generate_synthetic(tiny_synth(), tmp_path / "ds")
+        for text in ("{", "[]", '{"config": 3}', '{"config": {"n_classes": "4"}}'):
+            (man.root / "meta.json").write_text(text)
+            with pytest.raises(FormatError, match="meta.json"):
+                load_manifest(man.root)
+
     def test_roundtrip_preserves_records(self, tmp_path):
         man = generate_synthetic(tiny_synth(), tmp_path / "ds")
         again = load_manifest(man.root)
         assert [r.id for r in again.records] == [r.id for r in man.records]
         assert again.n_classes == 4
+
+
+_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.integers(),
+                    st.floats(), st.text(max_size=6))
+_VALUE = st.recursive(_SCALAR, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+_PATH = st.one_of(st.sampled_from(["v.ltf", "v.ltf", "missing.ltf", "", ".", "v.ltf\x00"]),
+                  _VALUE)
+_RECORD = st.fixed_dictionaries({}, optional={
+    "id": st.one_of(st.sampled_from(["a", "b", "c"]), _VALUE),
+    "label": st.one_of(st.integers(-1, 3), _VALUE),
+    "split": st.one_of(st.sampled_from(SPLITS), _VALUE),
+    "video_path": _PATH, "audio_path": _PATH, "text_path": _PATH,
+})
+_LINE = st.one_of(st.binary(max_size=24), _VALUE.map(json.dumps).map(str.encode),
+                  _RECORD.map(json.dumps).map(str.encode))
+
+
+class TestArbitraryManifests:
+    @pytest.fixture(scope="class")
+    def root(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("manifest-lines")
+        save_ltf(root / "v.ltf", np.zeros((2, 2)))
+        return root
+
+    @settings(max_examples=200, deadline=None)
+    @given(lines=st.lists(st.one_of(_RECORD.map(json.dumps).map(str.encode), _LINE),
+                          max_size=4))
+    @example(lines=[b"[1, 2]"])
+    @example(lines=[b'{"id": "a", "label": 0, "split": "train", "video_path": 5}'])
+    @example(lines=[b'{"id": "a", "label": 0, "split": "train", "video_path": "v.ltf"}'] * 2)
+    def test_loads_or_raises_typed_error(self, root, lines):
+        (root / "manifest.jsonl").write_bytes(b"\n".join(lines) + b"\n")
+        try:
+            man = load_manifest(root)
+        except (FormatError, FileNotFoundError):
+            return
+        ids = [r.id for r in man.records]
+        assert len(set(ids)) == len(ids) and all(isinstance(i, str) for i in ids)
+        assert all(type(r.label) is int and 0 <= r.label < man.n_classes for r in man.records)
+        assert all(r.split in SPLITS for r in man.records)
 
 
 class TestBatching:

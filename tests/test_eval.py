@@ -8,12 +8,15 @@ import pytest
 
 from trimodal import config as cfg_mod
 from trimodal.checkpoint import load_checkpoint
-from trimodal.data import generate_synthetic
+from trimodal import evaluate as evaluate_mod
+from trimodal.data import SyntheticConfig, generate_synthetic, sample_audio, sample_video
 from trimodal.encoders import ModalityFeatures
 from trimodal.errors import AvailabilityError, ConfigError, NumericError
-from trimodal.evaluate import (MODES, ProbeConfig, embed_frozen, evaluate, evaluate_all_splits,
-                               fuse_embeddings, load_probe, save_probe, train_probe)
+from trimodal.evaluate import (MODES, ProbeConfig, _ClipSource, embed_frozen, evaluate,
+                               evaluate_all_splits, fuse_embeddings, load_probe, save_probe,
+                               train_probe)
 from trimodal.layers import Linear
+from trimodal.ltf import load_ltf
 from trimodal.optim import Adam
 from trimodal.rng import Stream
 from trimodal.tensor import Tensor, backward, cross_entropy_rows
@@ -268,6 +271,46 @@ class TestClips:
         a = evaluate(stack, head, man, "test1", clips_per_video=3, seed=7)
         b = evaluate(stack, head, man, "test1", clips_per_video=3, seed=7)
         assert a.top1 == b.top1 and a.per_class == b.per_class
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_clip_stack_matches_per_clip_loop(self, trained, mode):
+        # the reference: one `sample_video` / `sample_audio` call per
+        # (record, clip), keyed (seed, "clip-<modality>", id, j)
+        _, man, _ = trained
+        fused = mode == "audio+video"
+        recs = [r for r in man.records_for("test1") + man.records_for("train")
+                if not fused or r.audio_path]
+        stored = [man.load_features(r) for r in recs]
+        clips = _ClipSource(man, need_audio=fused, seed=13).clips(recs, stored, 3)
+        synth = SyntheticConfig(**man.meta["config"])
+        m_video = load_ltf(man.root / man.meta["templates"]["video"]).data
+        m_audio = load_ltf(man.root / man.meta["templates"]["audio"]).data
+        assert len(clips) == 3 * len(recs)
+        for r, (rec, feats) in enumerate(zip(recs, stored)):
+            assert clips[3 * r] is feats
+            for j in (1, 2):
+                clip = clips[3 * r + j]
+                want = sample_video(synth, m_video[rec.label], (13, "clip-video", rec.id, j))
+                assert clip.video.data.tobytes() == want.tobytes()
+                if fused:
+                    want = sample_audio(synth, m_audio[rec.label], (13, "clip-audio", rec.id, j))
+                    assert clip.audio.data.tobytes() == want.tobytes()
+                else:
+                    assert clip.audio is feats.audio
+                assert clip.text is feats.text
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_one_clip_draw_per_modality_and_split(self, trained, monkeypatch, mode):
+        cfg, man, stack = trained
+        head = train_probe(stack, man, mode, cfg_mod.probe_config(cfg))
+        calls = []
+        for name in ("sample_video", "sample_audio"):
+            real = getattr(evaluate_mod, name)
+            monkeypatch.setattr(evaluate_mod, name,
+                                lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        evaluate_all_splits(stack, head, man, clips_per_video=4, seed=3)
+        per_split = ["sample_video"] + (["sample_audio"] if mode == "audio+video" else [])
+        assert calls == per_split * 3
 
     def test_zero_clips_rejected(self, trained):
         cfg, man, stack = trained

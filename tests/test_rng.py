@@ -74,6 +74,52 @@ class TestDistributions:
         assert isinstance(x, float) and 0.0 <= x < 1.0
 
 
+class TestFamilies:
+    """A key element that is a sequence makes a stream family, whose draws
+    carry one leading axis per sequence; every row is bitwise its member
+    stream's own draw."""
+
+    @pytest.mark.parametrize("key", [
+        (42, "clip-video", ["s0000", "s0007", "s0123", "vidéo", ""], range(1, 4)),
+        (9, [0, -1, 2**63 + 5, 2**64 + 9], "x"),
+        (9, ("a", 3), [5, 6], "tail", [7]),
+    ])
+    def test_rows_are_member_streams(self, key):
+        axes = [i for i, item in enumerate(key) if isinstance(item, (list, tuple, range))]
+        family = Stream(*key)
+        assert family.family == tuple(len(key[i]) for i in axes)
+        # counters carry on across draws, odd normal counts included
+        draws = [family.u64(3), family.uniform((2, 3)), family.normal(5, sigma=0.7),
+                 family.normal((2, 2)), family.uniform(), family.normal(),
+                 family.integers(4, 7)]
+        for member in np.ndindex(*family.family):
+            pick = dict(zip(axes, member))
+            single = Stream(*(key[i][pick[i]] if i in pick else item
+                              for i, item in enumerate(key)))
+            expect = [single.u64(3), single.uniform((2, 3)), single.normal(5, sigma=0.7),
+                      single.normal((2, 2)), single.uniform(), single.normal(),
+                      single.integers(4, 7)]
+            for got, want in zip(draws, expect):
+                assert got[member].tobytes() == np.asarray(want).tobytes()
+
+    def test_shapes(self):
+        family = Stream(1, [1, 2], range(3))
+        assert family.u64(4).shape == (2, 3, 4)
+        assert family.normal((5, 6)).shape == (2, 3, 5, 6)
+        assert family.uniform().shape == (2, 3)
+        assert Stream(1, []).normal(3).shape == (0, 3)
+
+    def test_family_cannot_shuffle(self):
+        with pytest.raises(ValueError):
+            Stream(1, [1, 2]).permutation(5)
+
+    def test_bad_member_rejected(self):
+        with pytest.raises(TypeError):
+            Stream(1, [1, 2.5])
+        with pytest.raises(TypeError):
+            Stream(1, [[1]])
+
+
 class TestGoldenValues:
     """Exact outputs of the generator defined in the module docstring. Any
     implementation of the same generator must reproduce these bits."""

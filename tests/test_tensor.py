@@ -111,6 +111,57 @@ class TestCrossEntropyRows:
         assert x.grad.tobytes() == (np.zeros_like(p) + p * (1.0 / n)).tobytes()
 
 
+class TestLinear:
+    """`linear` is one node with the bits of `add_rowvec(matmul(x, W), b)`,
+    forward and backward."""
+
+    @pytest.mark.parametrize("shape", [(5, 6), (3, 4, 6), (2, 3, 1, 6)])
+    def test_bits_match_matmul_then_add_rowvec(self, shape):
+        x = Stream(41, "linear", len(shape)).normal(shape)
+        W = Stream(42, "linear").normal((6, 5))
+        b = Stream(43, "linear").normal(5)
+        g = Stream(44, "linear", len(shape)).normal(shape[:-1] + (5,))
+        grads = []
+        for build in (lambda x, W, b: T.linear(x, W, b),
+                      lambda x, W, b: T.add_rowvec(T.matmul(x, W), b)):
+            leaves = [leaf(x), leaf(W), leaf(b)]
+            out = build(*leaves)
+            backward(T.sum_all(T.mul(out, Tensor(g))))
+            grads.append([out.data.tobytes()] + [p.grad.tobytes() for p in leaves])
+        assert grads[0] == grads[1]
+
+    def test_one_node(self):
+        x, W, b = leaf(np.ones((2, 3))), leaf(np.ones((3, 4))), leaf(np.ones(4))
+        out = T.linear(x, W, b)
+        assert out._op == "linear" and out._parents == (x, W, b)
+
+    @pytest.mark.parametrize("shapes", [((3,), (3, 2), (2,)), ((2, 3), (4, 2), (2,)),
+                                        ((2, 3), (3, 2), (3,)), ((2, 3), (3, 2), (1, 2))])
+    def test_shape_mismatch(self, shapes):
+        with pytest.raises(ShapeError):
+            T.linear(*(Tensor(np.ones(s)) for s in shapes))
+
+
+class TestNumpyEquivalents:
+    """Reductions written out without numpy's Python wrappers keep their bits."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 7), (3, 5, 64)])
+    def test_layer_norm_uses_var_bits(self, shape):
+        x = Stream(51, "ln").normal(shape, sigma=3.0) + 2.0
+        gamma = Stream(52, "ln").normal(shape[-1])
+        beta = Stream(53, "ln").normal(shape[-1])
+        mu = x.mean(axis=-1, keepdims=True)
+        want = (x - mu) * (1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)) * gamma + beta
+        got = T.layer_norm_rows(Tensor(x), Tensor(gamma), Tensor(beta), 1e-5).data
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 7), (9, 64)])
+    def test_row_norms_use_linalg_norm_bits(self, shape):
+        x = Stream(54, "norm").normal(shape)
+        want = x / np.linalg.norm(x, axis=1, keepdims=True)
+        assert T.l2_normalize_rows(Tensor(x)).data.tobytes() == want.tobytes()
+
+
 class TestL2NormalizeRows:
     def test_three_four_five(self):
         out = T.l2_normalize_rows(Tensor([[3.0, 4.0]])).data
@@ -247,6 +298,8 @@ class TestStackedOps:
         "matmul-batched": lambda x, y: T.matmul(x, y),
         "transpose": lambda x, y: T.transpose(x),
         "add_rowvec": lambda x, y: T.add_rowvec(x, Tensor(TestStackedOps.V)),
+        "linear": lambda x, y: T.linear(x, Tensor(TestStackedOps.W),
+                                        Tensor(TestStackedOps.V[:5])),
         "mean_axis0": lambda x, y: T.mean_axis0(x),
         "softmax_rows": lambda x, y: T.softmax_rows(x),
         "layer_norm_rows": lambda x, y: T.layer_norm_rows(
