@@ -153,18 +153,39 @@ def embed_frozen(stack: EncoderStack, samples: list[ModalityFeatures],
 
 
 class _ClipSource:
-    """Regenerates extra clips from the dataset's class templates."""
+    """Regenerates extra clips from the dataset's class templates.
+
+    `meta.json` is a dataset file, so whatever in it does not describe the
+    templates the clips need raises `FormatError`."""
 
     def __init__(self, manifest: Manifest, need_audio: bool, seed: int):
         self.manifest = manifest
         self.seed = seed
-        if manifest.meta is None or "templates" not in manifest.meta:
+        meta = manifest.meta
+        if meta is None or "templates" not in meta:
             raise FormatError("dataset has no meta.json with templates; "
                               "multi-clip evaluation needs clips_per_video=1")
-        self.cfg = SyntheticConfig(**manifest.meta["config"])
-        t = manifest.meta["templates"]
-        self.m_video = load_ltf(manifest.root / t["video"]).data
-        self.m_audio = load_ltf(manifest.root / t["audio"]).data if need_audio else None
+        where = manifest.root / "meta.json"
+        if "config" not in meta:
+            raise FormatError(f"{where}: templates without the config that drew them")
+        try:
+            self.cfg = SyntheticConfig(**meta["config"])
+        except ConfigError as e:
+            raise FormatError(f"{where}: invalid config entry ({e})") from e
+        t = meta["templates"]
+        self.m_video = self._template(where, t, "video", (self.cfg.t_video, self.cfg.d_video))
+        self.m_audio = (self._template(where, t, "audio", (self.cfg.t_audio, self.cfg.d_audio))
+                        if need_audio else None)
+
+    def _template(self, where, templates, modality: str, block: tuple[int, int]) -> np.ndarray:
+        name = templates.get(modality) if isinstance(templates, dict) else None
+        if not isinstance(name, str):
+            raise FormatError(f"{where}: templates.{modality} must name a tensor file")
+        arr = load_ltf(self.manifest.root / name).data
+        if arr.shape != (self.cfg.n_classes, *block):
+            raise FormatError(f"{where}: {modality} templates have shape {arr.shape}, "
+                              f"the config needs {(self.cfg.n_classes, *block)}")
+        return arr
 
     def clips(self, records: list[Record], stored: list[ModalityFeatures],
               n_clips: int) -> list[ModalityFeatures]:

@@ -151,6 +151,14 @@ def _case_linear(s):
     return [x, W, b, sx], lambda: _sum2(T.linear(x, W, b), T.linear(sx, W, b))
 
 
+def _case_attention(s):
+    # 2 heads: of width 2 on a [3, 4] sample, of width 1 on a [2, 3, 2] stack
+    q, k, v = _leaf(s, (3, 4)), _leaf(s, (3, 4)), _leaf(s, (3, 4))
+    sq, sk, sv = _leaf(s, (2, 3, 2)), _leaf(s, (2, 3, 2)), _leaf(s, (2, 3, 2))
+    return [q, k, v, sq, sk, sv], lambda: _sum2(T.attention(q, k, v, 2),
+                                                T.attention(sq, sk, sv, 2))
+
+
 def _case_sum_all(s):
     a = _leaf(s, (3, 4))
     return [a], lambda: T.sum_all(a)
@@ -231,7 +239,7 @@ OP_CASES = {
     "scale": _case_scale, "add_scalar": _case_add_scalar, "relu": _case_relu,
     "exp": _case_exp, "log": _case_log, "matmul": _case_matmul,
     "transpose": _case_transpose, "dot": _case_dot, "linear": _case_linear,
-    "add_rowvec": _case_add_rowvec,
+    "add_rowvec": _case_add_rowvec, "attention": _case_attention,
     "sum_all": _case_sum_all, "mean_axis0": _case_mean_axis0,
     "logsumexp_all": _case_logsumexp_all, "stack_rows": _case_stack_rows,
     "concat_cols": _case_concat_cols, "slice_cols": _case_slice_cols,

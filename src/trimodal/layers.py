@@ -74,8 +74,9 @@ class LayerNorm:
 class MultiHeadAttention:
     """Scaled dot-product self-attention over [..., T, d_model] sequences.
 
-    Returns the output projection of the concatenated heads; residual and
-    layer norm belong to the enclosing block.
+    The query, key and value projections feed one `tensor.attention` node,
+    which runs every head; its concatenated heads go through the output
+    projection. Residual and layer norm belong to the enclosing block.
     """
 
     def __init__(self, d_model: int, n_heads: int, seed: int, name: str):
@@ -92,19 +93,9 @@ class MultiHeadAttention:
     def forward(self, x: Tensor) -> Tensor:
         if x.data.ndim < 2 or x.shape[-1] != self.d_model:
             raise ShapeError(f"attention input must be [..., T, {self.d_model}], got {x.shape}")
-        q = self.Wq.forward(x)
-        k = self.Wk.forward(x)
-        v = self.Wv.forward(x)
-        inv_sqrt = 1.0 / math.sqrt(self.d_head)
-        heads = []
-        for h in range(self.n_heads):
-            lo, hi = h * self.d_head, (h + 1) * self.d_head
-            qh = T.slice_cols(q, lo, hi)
-            kh = T.slice_cols(k, lo, hi)
-            vh = T.slice_cols(v, lo, hi)
-            scores = T.scale(T.matmul(qh, T.transpose(kh)), inv_sqrt)
-            heads.append(T.matmul(T.softmax_rows(scores), vh))
-        return self.Wo.forward(T.concat_cols(heads))
+        heads = T.attention(self.Wq.forward(x), self.Wk.forward(x), self.Wv.forward(x),
+                            self.n_heads)
+        return self.Wo.forward(heads)
 
     def parameters(self):
         return (self.Wq.parameters() + self.Wk.parameters()

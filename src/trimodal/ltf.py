@@ -124,5 +124,4 @@ def load_ltf(path) -> Tensor:
         raise FormatError(f"{path}: expected float64 payload")
     if not np.isfinite(arr).all():
         raise FormatError(f"{path}: payload holds NaN or infinite values")
-    with np.errstate(over="ignore"):  # the Tensor's finiteness screen sums the payload
-        return Tensor(arr)
+    return Tensor(arr)

@@ -5,11 +5,18 @@ compute the forward result with numpy and attach a closure producing the
 parent gradients; `backward` walks the recorded graph in reverse topological
 order. Graphs are rebuilt each step and never cached.
 
-Row-structured ops (`matmul`, `linear`, `transpose`, `add_rowvec`,
-`mean_axis0`, `softmax_rows`, `layer_norm_rows`, `slice_cols`, `concat_cols`)
-act on the last axis, or the last two, of a `[..., T, d]` array: a leading
-batch axis stacks independent samples, and every sample's values are bitwise
-those of the same op on its own `[T, d]` matrix.
+Row-structured ops (`matmul`, `linear`, `attention`, `transpose`,
+`add_rowvec`, `mean_axis0`, `softmax_rows`, `layer_norm_rows`, `slice_cols`,
+`concat_cols`) act on the last axis, or the last two, of a `[..., T, d]`
+array: a leading batch axis stacks independent samples, and every sample's
+values are bitwise those of the same op on its own `[T, d]` matrix.
+
+`linear` and `attention` are composite nodes: each gives the bits of the
+small graph it stands for (`matmul` then `add_rowvec`; per-head `slice_cols`,
+`matmul`, `transpose`, `scale`, `softmax_rows` and `concat_cols`), with the
+same numpy expressions forward and backward. The model builds its layers
+from them; `add_rowvec`, `slice_cols` and `concat_cols` remain as ops of
+their own, with gradient-check cases, but no layer calls them.
 
 Design constraints honoured throughout:
   * float64 only, row-major storage;
@@ -58,10 +65,12 @@ def no_grad() -> Iterator[None]:
 
 
 def _ensure_finite(arr: np.ndarray, op: str) -> np.ndarray:
-    # One-pass screen: a non-finite element makes the sum non-finite. The
-    # precise re-check clears sums that merely overflowed. `np.add.reduce` is
-    # `ndarray.sum` without its Python wrapper; this runs at every node.
-    if not math.isfinite(np.add.reduce(arr, None)) and not np.isfinite(arr).all():
+    # One-pass screen, run at every node: the sum of squares `vdot(arr, arr)`
+    # is non-finite if an element is, and otherwise only when it overflows,
+    # which the precise re-check clears. Squares never meet as +inf and -inf,
+    # and `np.vdot` (a BLAS dot) reads no floating-point error flags, so unlike
+    # a ufunc sum the screen emits no numpy RuntimeWarning.
+    if not math.isfinite(np.vdot(arr, arr)) and not np.isfinite(arr).all():
         raise NumericError(f"{op}: produced non-finite values")
     return arr
 
@@ -307,6 +316,52 @@ def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     return _node(out, (x, W, b), back, "linear")
 
 
+def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """`[..., T, d]` -> a contiguous `[..., H, T, d/H]` copy; head h holds
+    columns `h*d/H:(h+1)*d/H`."""
+    *lead, t, d = x.shape
+    return np.ascontiguousarray(x.reshape(*lead, t, n_heads, d // n_heads).swapaxes(-2, -3))
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """`[..., H, T, d_head]` -> `[..., T, H*d_head]`, the inverse of `_split_heads`."""
+    *lead, h, t, d_head = x.shape
+    return x.swapaxes(-2, -3).reshape(*lead, t, h * d_head)
+
+
+def _keys_t(k: np.ndarray, n_heads: int) -> np.ndarray:
+    """The split keys' transposes `[..., H, d/H, T]`, each contiguous like a
+    `transpose` node's value."""
+    return np.ascontiguousarray(_swap(_split_heads(k, n_heads)))
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
+    """Scaled dot-product attention of `[..., T, d]` queries, keys and values
+    over `n_heads` heads of width d/H, as one node.
+
+    Bitwise the per-head graph `matmul(softmax_rows(scale(matmul(q_h,
+    transpose(k_h)), 1/sqrt(d/H))), v_h)` over column slices, concatenated:
+    every head's products run on contiguous copies, as the slices were, and
+    the backward is those ops' backward expressions. The closure keeps only
+    the probabilities; the head splits are rebuilt from the inputs."""
+    if (q.data.ndim < 2 or k.shape != q.shape or v.shape != q.shape
+            or n_heads < 1 or q.shape[-1] % n_heads):
+        raise ShapeError(f"attention: q, k, v must share one [..., T, d] shape with d "
+                         f"divisible by {n_heads} heads, got {q.shape}, {k.shape}, {v.shape}")
+    c = 1.0 / math.sqrt(q.shape[-1] // n_heads)
+    scores = _split_heads(q.data, n_heads) @ _keys_t(k.data, n_heads)
+    scores *= c
+    p = _softmax_last(scores)
+
+    def back(g):
+        gp, gv = _matmul_grads(p, _split_heads(v.data, n_heads), _split_heads(g, n_heads))
+        gq, gkt = _matmul_grads(_split_heads(q.data, n_heads), _keys_t(k.data, n_heads),
+                                _softmax_grad(p, gp) * c)
+        return (_merge_heads(gq), _merge_heads(_swap(gkt)), _merge_heads(gv))
+
+    return _node(_merge_heads(p @ _split_heads(v.data, n_heads)), (q, k, v), back, "attention")
+
+
 def add_rowvec(x: Tensor, b: Tensor) -> Tensor:
     """`x[..., n, d] + b[d]`: a bias added to every row."""
     if x.data.ndim < 2 or b.data.ndim != 1 or x.shape[-1] != b.shape[0]:
@@ -462,15 +517,20 @@ def softmax_rows(x: Tensor) -> Tensor:
     rows sum to 1."""
     if x.data.ndim < 2:
         raise ShapeError(f"softmax_rows: expected at least 2-D, got {x.shape}")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    p = _softmax_last(x.data)
+    return _node(p, (x,), lambda g: (_softmax_grad(p, g),), "softmax_rows")
+
+
+def _softmax_last(x: np.ndarray) -> np.ndarray:
+    shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    p = e / e.sum(axis=-1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
-    def back(g):
-        inner = (g * p).sum(axis=-1, keepdims=True)
-        return (p * (g - inner),)
 
-    return _node(p, (x,), back, "softmax_rows")
+def _softmax_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient through softmax output `p` for upstream `g`."""
+    inner = (g * p).sum(axis=-1, keepdims=True)
+    return p * (g - inner)
 
 
 def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import shutil
 import struct
 
 import numpy as np
@@ -236,7 +237,6 @@ class TestProbeAndEval:
                      "--head", str(head), "--config", str(cli_env["cfg"])]) == 2
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_overflowing_probe_exit_4(self, cli_env, tmp_path, capsys):
         doc = copy.deepcopy(TINY_OVERRIDES)
         doc["eval"].update(probe_lr=1e308, probe_epochs=2)
@@ -247,6 +247,29 @@ class TestProbeAndEval:
         assert code == 4
         assert "numeric abort" in capsys.readouterr().err
         assert not (tmp_path / "h.lavc").exists()
+
+    @pytest.mark.parametrize("mode,edit", [
+        ("audio+video", lambda m: m["templates"].pop("audio")),
+        ("video", lambda m: m["templates"].update(video=7)),
+        ("video", lambda m: m.update(templates=["templates_video.ltf"])),
+        ("video", lambda m: m["templates"].update(video="templates_audio.ltf")),
+        ("video", lambda m: m["config"].update(bogus=1)),
+        ("video", lambda m: m["config"].update(t_video=0)),
+        ("video", lambda m: m.pop("config")),
+    ], ids=["no-audio-template", "template-name-not-a-string", "templates-not-an-object",
+            "template-shape", "unknown-config-key", "config-out-of-bounds", "no-config"])
+    def test_malformed_meta_exit_3(self, cli_env, tmp_path, capsys, mode, edit):
+        # meta.json is a dataset file: multi-clip evaluation reads its config
+        # and templates, and a fault there is a format error, not a config one
+        data = tmp_path / "ds"
+        shutil.copytree(cli_env["data"], data)
+        meta = json.loads((data / "meta.json").read_text())
+        edit(meta)
+        (data / "meta.json").write_text(json.dumps(meta))
+        assert main(["eval", "--ckpt", str(cli_env["ckpt"]), "--data", str(data),
+                     "--mode", mode, "--clips", "4", "--splits", "1",
+                     "--config", str(cli_env["cfg"])]) == 3
+        assert "meta.json" in capsys.readouterr().err
 
     def test_fusion_on_audio_free_dataset_exit_2(self, cli_env, tmp_path, capsys):
         doc = copy.deepcopy(TINY_OVERRIDES)

@@ -1,5 +1,7 @@
 """Numeric core: op semantics, gradient rules, graph discipline."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,16 @@ class TestTensorBasics:
             Tensor([1.0, float("nan")])
         with pytest.raises(NumericError):
             Tensor([float("inf")])
+
+    def test_non_finite_screen_raises_without_a_numpy_warning(self):
+        # tier-1 turns every RuntimeWarning into an error, so a screen that
+        # warned on the way (a sum meeting +inf and -inf) would fail here
+        with pytest.raises(NumericError):
+            T._ensure_finite(np.array([np.inf, -np.inf, 1.0]), "op")
+
+    def test_finite_values_whose_sum_overflows_are_accepted(self):
+        big = np.array([1e308, 1e308, -1e308, 1.7e308])
+        assert Tensor(big).data.tobytes() == big.tobytes()
 
     def test_grad_buffer_matches_shape(self):
         x = leaf([[1.0, 2.0], [3.0, 4.0]])
@@ -140,6 +152,75 @@ class TestLinear:
     def test_shape_mismatch(self, shapes):
         with pytest.raises(ShapeError):
             T.linear(*(Tensor(np.ones(s)) for s in shapes))
+
+
+def per_head_attention(q, k, v, n_heads):
+    """The per-head graph `tensor.attention` replaces: column slices, one
+    scaled product, softmax and product per head, then a concatenation."""
+    d_head = q.shape[-1] // n_heads
+    heads = []
+    for h in range(n_heads):
+        lo, hi = h * d_head, (h + 1) * d_head
+        qh, kh, vh = (T.slice_cols(t, lo, hi) for t in (q, k, v))
+        scores = T.scale(T.matmul(qh, T.transpose(kh)), 1.0 / math.sqrt(d_head))
+        heads.append(T.matmul(T.softmax_rows(scores), vh))
+    return T.concat_cols(heads)
+
+
+class TestAttention:
+    """`attention` is one node with the bits of the per-head graph, forward
+    and backward, and a stacked sample gets the bits of its own call."""
+
+    @staticmethod
+    def run(build, arrays, g, n_heads):
+        leaves = [leaf(a) for a in arrays]
+        out = build(*leaves, n_heads)
+        backward(T.sum_all(T.mul(out, Tensor(g))))
+        return [out.data.tobytes()] + [p.grad.tobytes() for p in leaves]
+
+    @staticmethod
+    def inputs(shape, key):
+        s = Stream(51, "attention", *shape, key)
+        return [s.normal(shape) for _ in range(3)], s.normal(shape)
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    @pytest.mark.parametrize("shape", [(5, 8), (1, 8), (3, 5, 8), (2, 1, 8), (2, 3, 4, 8),
+                                       (7, 12, 64)])
+    def test_bits_match_per_head_graph(self, shape, n_heads):
+        arrays, g = self.inputs(shape, n_heads)
+        assert (self.run(T.attention, arrays, g, n_heads)
+                == self.run(per_head_attention, arrays, g, n_heads))
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    def test_stacked_sample_matches_its_own_call(self, n_heads):
+        arrays, g = self.inputs((4, 6, 8), n_heads)
+        stacked = [leaf(a) for a in arrays]
+        out = T.attention(*stacked, n_heads)
+        backward(T.sum_all(T.mul(out, Tensor(g))))
+        for b in range(4):
+            alone = self.run(T.attention, [a[b] for a in arrays], g[b], n_heads)
+            assert alone == [out.data[b].tobytes()] + [p.grad[b].tobytes() for p in stacked]
+
+    def test_one_node_that_keeps_only_its_probabilities(self):
+        arrays, _ = self.inputs((3, 5, 8), "closure")
+        q, k, v = (leaf(a) for a in arrays)
+        out = T.attention(q, k, v, 2)
+        assert out._op == "attention" and out._parents == (q, k, v)
+        kept = [cell.cell_contents for cell in out._backward.__closure__]
+        arrays_kept = [c for c in kept if isinstance(c, np.ndarray)]
+        assert len(arrays_kept) == 1 and arrays_kept[0].shape == (3, 2, 5, 5)  # [B, H, T, T]
+        for c in kept:
+            assert isinstance(c, (np.ndarray, Tensor, int, float)), type(c)
+            if isinstance(c, Tensor):
+                assert any(c is p for p in (q, k, v))
+
+    @pytest.mark.parametrize("shapes,n_heads", [
+        (((4,), (4,), (4,)), 2), (((3, 4), (3, 4), (2, 4)), 2),
+        (((3, 4), (3, 4), (3, 4)), 3), (((3, 4), (3, 4), (3, 4)), 0),
+        (((2, 3, 4), (3, 4), (3, 4)), 2)])
+    def test_shape_mismatch(self, shapes, n_heads):
+        with pytest.raises(ShapeError):
+            T.attention(*(Tensor(np.ones(s)) for s in shapes), n_heads)
 
 
 class TestNumpyEquivalents:
