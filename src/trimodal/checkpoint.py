@@ -7,9 +7,16 @@ Layout:
     entry   u16 LE name length, UTF-8 name, LTF blob
 
 Entry names: `param.<hierarchical name>`, `adam.m.<name>`, `adam.v.<name>`,
-`state.counters` (float64 [step, epochs_done, adam_t]) and `config` (the
-JSON document as a uint8 byte tensor). Names must be unique; readers reject
-bad magic, duplicates and truncation. Archives are written atomically.
+`state.counters` (float64 [step, epochs_done, adam_t]) and `config`, the
+JSON object `{"config": <resolved document>}` as a uint8 byte tensor. That
+document is the archive's only description of its model: loading rebuilds
+the stack from it with `config.encoder_stack`, then fills in the entries.
+Archives written by earlier versions also carry a `stack_dims` key beside
+it, which loading ignores. A probe head (`evaluate.save_probe`) is an
+archive of `param.probe.W`, `param.probe.b` and a `config` entry `{"mode"}`.
+Names must be unique; readers reject bad magic, duplicates and truncation,
+and any fault in a stored entry raises `FormatError`. Archives are written
+atomically.
 """
 
 from __future__ import annotations
@@ -83,8 +90,10 @@ class Checkpoint:
 
 def save_checkpoint(path, stack: EncoderStack, adam: Adam, config: dict,
                     epochs_done: int, step: int) -> None:
-    blob = json.dumps({"config": config, "stack_dims": stack.dims},
-                      sort_keys=True).encode("utf-8")
+    """Write `stack`, `adam` and the run counters to `path`. `config` must be
+    the resolved document the stack was built from (`config.encoder_stack`):
+    it is all that `load_checkpoint` rebuilds the stack from."""
+    blob = json.dumps({"config": config}, sort_keys=True).encode("utf-8")
     entries: list[tuple[str, np.ndarray]] = []
     for name, p in stack.parameters():
         entries.append((f"param.{name}", p.data))
@@ -118,25 +127,6 @@ def read_config(path, entries: dict[str, np.ndarray], *keys: str) -> dict:
     return blob
 
 
-_RAW_DIMS = ("d_video_raw", "d_audio_raw", "vocab")
-
-
-def _stack_from_dims(path, dims) -> EncoderStack:
-    """The stack that a `config` entry's `stack_dims` object describes, or a
-    `FormatError` naming the entry."""
-    where = f"{path}: 'stack_dims' in entry 'config'"
-    if not isinstance(dims, dict):
-        raise FormatError(f"{where} is not an object")
-    for key in _RAW_DIMS:
-        value = dims.get(key)
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise FormatError(f"{where} has no positive integer {key!r}")
-    try:
-        return EncoderStack(seed=0, **dims)
-    except ConfigError as e:
-        raise FormatError(f"{where}: {e}") from e
-
-
 def _counters(path, counters: np.ndarray) -> tuple[int, int, int]:
     """`state.counters` as (step, epochs_done, adam_t), or a `FormatError`."""
     if (counters.shape != (3,) or not np.isfinite(counters).all()
@@ -149,11 +139,14 @@ def _counters(path, counters: np.ndarray) -> tuple[int, int, int]:
 
 def load_checkpoint(path) -> Checkpoint:
     entries = _read_archive(path)
-    blob = read_config(path, entries, "config", "stack_dims")
+    blob = read_config(path, entries, "config")
     (counters,) = require(path, entries, "state.counters")
     step, epochs_done, adam_t = _counters(path, counters)
-    config = cfg_mod.validate(blob["config"])
-    stack = _stack_from_dims(path, blob["stack_dims"])
+    try:
+        config = cfg_mod.validate(blob["config"])
+    except ConfigError as e:
+        raise FormatError(f"{path}: 'config' in entry 'config' is invalid: {e}") from e
+    stack = cfg_mod.encoder_stack(config, 0)
     adam = cfg_mod.adam(config, stack.parameters())
     for name, p in stack.parameters():
         for prefix, target in (("param.", None), ("adam.m.", adam.m), ("adam.v.", adam.v)):

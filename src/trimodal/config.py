@@ -167,6 +167,8 @@ def section(name: str, values) -> dict:
 def validate(doc: dict) -> dict:
     """The full document: every section resolved, then checked against the
     others; raises ConfigError naming the offending dotted key."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"a config document must be an object, got {type(doc).__name__}")
     for name in doc:
         if name not in SCHEMA:
             raise ConfigError(f"unknown config key {name!r}")

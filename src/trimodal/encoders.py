@@ -18,7 +18,7 @@ graph, so they receive and send exactly zero gradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,22 +50,19 @@ class ModalityFeatures:
 
 @dataclass
 class EmbeddingSet:
-    """Per-batch encoder outputs and unit-norm projections.
+    """Per-batch unit-norm projections, keyed (space, modality).
 
     Rows of unavailable modalities are zero-filled; `avail_a` / `avail_t`
     say which rows are real. Masked rows are graph-disconnected constants.
     """
 
-    z_a: Tensor
-    z_v: Tensor
-    z_t: Tensor
-    proj: dict[tuple[str, str], Tensor] = field(default_factory=dict)
-    avail_a: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
-    avail_t: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
+    proj: dict[tuple[str, str], Tensor]
+    avail_a: np.ndarray
+    avail_t: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.z_v.shape[0]
+        return len(self.avail_a)
 
     def availability(self, modality: str) -> np.ndarray:
         if modality == "a":
@@ -90,7 +87,6 @@ class EncoderStack:
             m["d_ff"] = 2 * d_model
         if m["audio_hidden"] is None:
             m["audio_hidden"] = d_model
-        self.dims = {"d_video_raw": d_video_raw, "d_audio_raw": d_audio_raw, "vocab": vocab, **m}
         self.d_model = d_model
         self.d_proj = d_proj
         self.max_text_len = m["max_text_len"]
@@ -157,13 +153,10 @@ class EncoderStack:
             if space not in SPACES:
                 raise ShapeError(f"unknown latent space {space!r}")
         needed = {"v"} | {m for space in spaces for m in SPACES[space]}
-        n = len(samples)
         avail_a = np.array([s.features.has_audio for s in samples], dtype=bool)
         avail_t = np.array([s.features.has_text for s in samples], dtype=bool)
 
-        zero_model = Tensor(np.zeros(self.d_model))
         zero_proj = Tensor(np.zeros(self.d_proj))
-        rows = {"a": [], "v": [], "t": []}
         proj_rows: dict[tuple[str, str], list[Tensor]] = {
             (space, m): [] for space in spaces for m in SPACES[space]
         }
@@ -173,8 +166,6 @@ class EncoderStack:
                 z["a"] = self.encode_audio(s.features.audio)
             if "t" in needed and s.features.has_text:
                 z["t"] = self.encode_text(s.features.text)
-            for m in ("a", "v", "t"):
-                rows[m].append(z[m] if z[m] is not None else zero_model)
             for space in spaces:
                 for m in SPACES[space]:
                     if z[m] is None:
@@ -185,9 +176,6 @@ class EncoderStack:
                         proj_rows[(space, m)].append(_as_vector(row))
 
         return EmbeddingSet(
-            z_a=T.stack_rows(rows["a"]),
-            z_v=T.stack_rows(rows["v"]),
-            z_t=T.stack_rows(rows["t"]),
             proj={key: T.stack_rows(vals) for key, vals in proj_rows.items()},
             avail_a=avail_a,
             avail_t=avail_t,

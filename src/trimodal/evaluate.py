@@ -60,11 +60,14 @@ class ProbeConfig:
 class ProbeHead:
     linear: Linear
     mode: str
-    n_classes: int
 
     @property
     def d_in(self) -> int:
         return self.linear.W.shape[0]
+
+    @property
+    def n_classes(self) -> int:
+        return self.linear.W.shape[1]
 
     def logits(self, feats: np.ndarray) -> np.ndarray:
         return feats @ self.linear.W.data + self.linear.b.data
@@ -233,28 +236,30 @@ def train_probe(stack: EncoderStack, manifest: Manifest, mode: str,
             "at least one training sample with audio)")
     x = np.stack(feats)
     y = np.array(labels, dtype=np.int64)
-    n_classes = manifest.n_classes
 
-    head = Linear(x.shape[1], n_classes, probe_cfg.seed, "probe")
+    head = Linear(x.shape[1], manifest.n_classes, probe_cfg.seed, "probe")
     adam = Adam(head.parameters())
     W, b = head.W, head.b
     _ensure_finite(x, "probe embeddings")
-    for epoch in range(probe_cfg.epochs):
-        order = np.array(Stream(probe_cfg.seed, "probe-batches", epoch).permutation(len(x)))
-        for start in range(0, len(order), probe_cfg.batch_size):
-            idx = order[start:start + probe_cfg.batch_size]
-            xb = x[idx]
-            # `Linear.forward` and `cross_entropy_rows` with their backward,
-            # on plain arrays; `+ 0.0` turns -0.0 into +0.0 as accumulating
-            # into a zeroed gradient buffer does
-            logits = _ensure_finite(xb @ W.data + b.data, "probe logits")
-            loss, g = softmax_nll_rows(logits, y[idx])
-            _ensure_finite(loss, "probe loss")
-            g *= 1.0 / len(idx)
-            W.grad = xb.T @ g + 0.0
-            b.grad = g.sum(axis=0) + 0.0
-            adam.step(probe_cfg.lr)
-    return ProbeHead(linear=head, mode=mode, n_classes=n_classes)
+    # The logits and the loss are screened, and Adam screens the gradients,
+    # so an overflow ends in `NumericError` without a numpy warning first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(probe_cfg.epochs):
+            order = np.array(Stream(probe_cfg.seed, "probe-batches", epoch).permutation(len(x)))
+            for start in range(0, len(order), probe_cfg.batch_size):
+                idx = order[start:start + probe_cfg.batch_size]
+                xb = x[idx]
+                # `Linear.forward` and `cross_entropy_rows` with their backward,
+                # on plain arrays; `+ 0.0` turns -0.0 into +0.0 as accumulating
+                # into a zeroed gradient buffer does
+                logits = _ensure_finite(xb @ W.data + b.data, "probe logits")
+                loss, g = softmax_nll_rows(logits, y[idx])
+                _ensure_finite(loss, "probe loss")
+                g *= 1.0 / len(idx)
+                W.grad = xb.T @ g + 0.0
+                b.grad = g.sum(axis=0) + 0.0
+                adam.step(probe_cfg.lr)
+    return ProbeHead(linear=head, mode=mode)
 
 
 def evaluate(stack: EncoderStack, head: ProbeHead, manifest: Manifest, split: str,
@@ -314,8 +319,8 @@ def evaluate_all_splits(stack: EncoderStack, head: ProbeHead, manifest: Manifest
 
 
 def save_probe(path, head: ProbeHead) -> None:
-    blob = json.dumps({"mode": head.mode, "n_classes": head.n_classes},
-                      sort_keys=True).encode("utf-8")
+    """The head's weight, bias and mode; its shape is the weight's."""
+    blob = json.dumps({"mode": head.mode}).encode("utf-8")
     ckpt_mod._write_archive(path, [
         ("param.probe.W", head.linear.W.data),
         ("param.probe.b", head.linear.b.data),
@@ -325,7 +330,10 @@ def save_probe(path, head: ProbeHead) -> None:
 
 def load_probe(path) -> ProbeHead:
     entries = ckpt_mod._read_archive(path)
-    blob = ckpt_mod.read_config(path, entries, "mode", "n_classes")
+    blob = ckpt_mod.read_config(path, entries, "mode")
+    if blob["mode"] not in MODES:
+        raise FormatError(f"{path}: entry 'config' has mode {blob['mode']!r}, "
+                          f"not one of {MODES}")
     w, b = ckpt_mod.require(path, entries, "param.probe.W", "param.probe.b")
     if w.ndim != 2 or b.shape != (w.shape[1],):
         raise FormatError(f"{path}: probe weight {w.shape} and bias {b.shape} "
@@ -333,4 +341,4 @@ def load_probe(path) -> ProbeHead:
     head = Linear(w.shape[0], w.shape[1], 0, "probe")
     head.W.data[...] = w
     head.b.data[...] = b
-    return ProbeHead(linear=head, mode=blob["mode"], n_classes=blob["n_classes"])
+    return ProbeHead(linear=head, mode=blob["mode"])

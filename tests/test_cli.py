@@ -11,7 +11,7 @@ import pytest
 from conftest import TINY_OVERRIDES
 from test_config import MALFORMED
 from test_ltf import ltf_header
-from trimodal.checkpoint import _read_archive, _write_archive
+from trimodal.checkpoint import _read_archive, _write_archive, load_checkpoint
 from trimodal.cli import main
 from trimodal.evaluate import ProbeHead, save_probe
 from trimodal.layers import Linear
@@ -133,8 +133,14 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("blob, message", [
         (b"{not json", "not UTF-8 JSON"),
         (b"\xff\xfe{}", "not UTF-8 JSON"),
-        (json.dumps({"config": {}}).encode(), "has no 'stack_dims'"),
-    ], ids=["not-json", "not-utf8", "no-stack-dims"])
+        (b"{}", "has no 'config'"),
+        (b'{"config": null}', "must be an object"),
+        (b'{"config": 5}', "must be an object"),
+        (b'{"config": [1, 2]}', "must be an object"),
+        (b'{"config": {"model": {"n_heads": 3}}}', "model.d_model must be divisible"),
+        (b'{"config": {"data": {"bogus": 1}}}', "unknown config key 'data.bogus'"),
+    ], ids=["not-json", "not-utf8", "no-config", "null", "int", "list", "bad-heads",
+            "unknown-key"])
     def test_forged_checkpoint_config_exit_3(self, cli_env, tmp_path, capsys, blob, message):
         entries = _read_archive(cli_env["ckpt"])
         entries["config"] = np.frombuffer(blob, dtype=np.uint8)
@@ -142,25 +148,29 @@ class TestMalformedInputs:
         _write_archive(bad, list(entries.items()))
         assert main(["probe", "--ckpt", str(bad), "--data", str(cli_env["data"])]) == 3
         err = capsys.readouterr().err
-        assert str(bad) in err and message in err
+        assert str(bad) in err and "entry 'config'" in err and message in err
 
-    @pytest.mark.parametrize("forge, message", [
-        (lambda blob: blob["stack_dims"].pop("vocab"), "no positive integer 'vocab'"),
-        (lambda blob: blob["stack_dims"].pop("d_audio_raw"), "no positive integer 'd_audio_raw'"),
-        (lambda blob: blob.update(stack_dims=list(blob["stack_dims"].values())),
-         "'stack_dims' in entry 'config' is not an object"),
-        (lambda blob: blob["stack_dims"].update(n_heads=3), "model.d_model"),
-    ], ids=["no-vocab", "no-d_audio_raw", "list", "bad-model-key"])
-    def test_forged_stack_dims_exit_3(self, cli_env, tmp_path, capsys, forge, message):
+    def test_stack_dims_of_older_archives_ignored(self, cli_env, tmp_path):
+        # an archive in the earlier format, whose `stack_dims` says 2 heads
+        # where its config says 4: the model comes from the config alone
         entries = _read_archive(cli_env["ckpt"])
         blob = json.loads(entries["config"].tobytes())
-        forge(blob)
-        entries["config"] = np.frombuffer(json.dumps(blob).encode(), dtype=np.uint8)
-        bad = tmp_path / "forged.lavc"
-        _write_archive(bad, list(entries.items()))
-        assert main(["probe", "--ckpt", str(bad), "--data", str(cli_env["data"])]) == 3
-        err = capsys.readouterr().err
-        assert str(bad) in err and message in err
+        config = copy.deepcopy(blob["config"])
+        config["model"]["n_heads"] = 4
+        data, model = config["data"], blob["config"]["model"]
+        dims = {**model, "d_ff": 2 * model["d_model"], "audio_hidden": model["d_model"],
+                "d_video_raw": data["d_video"], "d_audio_raw": data["d_audio"],
+                "vocab": data["vocab"]}
+        older = json.dumps({"config": config, "stack_dims": dims}, sort_keys=True).encode()
+        entries["config"] = np.frombuffer(older, dtype=np.uint8)
+        path = tmp_path / "older.lavc"
+        _write_archive(path, list(entries.items()))
+        ck = load_checkpoint(path)
+        assert dims["n_heads"] == 2
+        assert {enc.n_heads for enc in (ck.stack.f_a, ck.stack.f_v, ck.stack.f_t)} == {4}
+        assert ck.config == config
+        for name, p in ck.stack.parameters():
+            assert p.data.tobytes() == entries[f"param.{name}"].tobytes(), name
 
     @pytest.mark.parametrize("counters", [[3.0, 1.0], [3.0, 1.0, 0.5], [3.0, -1.0, 3.0],
                                           [[3.0, 1.0, 3.0]]], ids=str)
@@ -176,10 +186,15 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("forge, message", [
         (lambda entries: entries.pop("config"), "missing entry 'config'"),
         (lambda entries: entries.update({"param.probe.W": np.zeros(4)}), "do not form"),
-    ], ids=["no-config", "1d-weight"])
+        (lambda entries: entries.update(config=np.frombuffer(b'{"mode": 5}', dtype=np.uint8)),
+         "has mode 5"),
+        (lambda entries: entries.update(config=np.frombuffer(b'{"mode": "bogus"}',
+                                                             dtype=np.uint8)),
+         "has mode 'bogus'"),
+    ], ids=["no-config", "1d-weight", "mode-int", "mode-unknown"])
     def test_forged_probe_head_exit_3(self, cli_env, tmp_path, capsys, forge, message):
         head = tmp_path / "head.lavc"
-        save_probe(head, ProbeHead(Linear(4, 3, 0, "probe"), "video", 3))
+        save_probe(head, ProbeHead(Linear(4, 3, 0, "probe"), "video"))
         entries = _read_archive(head)
         forge(entries)
         _write_archive(head, list(entries.items()))
@@ -236,7 +251,6 @@ class TestProbeAndEval:
                      str(cli_env["data"]), "--mode", "audio+video",
                      "--head", str(head), "--config", str(cli_env["cfg"])]) == 2
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_probe_exit_4(self, cli_env, tmp_path, capsys):
         doc = copy.deepcopy(TINY_OVERRIDES)
         doc["eval"].update(probe_lr=1e308, probe_epochs=2)

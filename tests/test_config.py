@@ -63,10 +63,10 @@ class TestDefaults:
 
     def test_stack_builder_resolves_model_defaults(self):
         cfg = cfg_mod.resolve_config()
-        dims = cfg_mod.encoder_stack(cfg, 0).dims
-        assert dims["d_ff"] == 2 * dims["d_model"] == 128
-        assert dims["audio_hidden"] == dims["d_model"] == 64
-        assert dims["d_video_raw"] == cfg["data"]["d_video"]
+        stack = cfg_mod.encoder_stack(cfg, 0)
+        assert stack.f_v.blocks[0].ff1.W.shape == (64, 2 * 64)  # d_ff
+        assert stack.audio_mlp.l1.W.shape == (cfg["data"]["d_audio"], 64)  # audio_hidden
+        assert stack.video_in.W.shape == (cfg["data"]["d_video"], 64)
 
 
 class TestRejection:
@@ -145,8 +145,10 @@ _DOCUMENT = st.fixed_dictionaries(
 
 class TestProperties:
     @settings(max_examples=300, deadline=None)
-    @given(_DOCUMENT)
+    @given(_DOCUMENT | _JSON)
     @example({"data": {"text_informativeness": "x"}})
+    @example(None)
+    @example([{"data": {}}])
     def test_any_document_resolves_or_raises_config_error(self, doc):
         try:
             cfg = cfg_mod.validate(doc)

@@ -147,7 +147,7 @@ class TestEmbedBatch:
         emb = stack.embed_batch(make_batch())
         assert emb.avail_a.tolist() == [True, False, True]
         assert emb.avail_t.tolist() == [True, True, False]
-        assert emb.z_v.shape == (3, 8)
+        assert emb.n == 3
         for key, mat in emb.proj.items():
             assert mat.shape == (3, 4), key
 
@@ -156,7 +156,7 @@ class TestEmbedBatch:
         emb = stack.embed_batch(make_batch())
         assert np.array_equal(emb.proj[("av", "a")].data[1], np.zeros(4))
         assert np.array_equal(emb.proj[("vt", "t")].data[2], np.zeros(4))
-        assert np.array_equal(emb.z_a.data[1], np.zeros(8))
+        assert np.array_equal(emb.proj[("avt", "a")].data[1], np.zeros(4))
 
     def test_available_projection_rows_unit_norm(self):
         stack = small_stack()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from trimodal import config as cfg_mod
-from trimodal.checkpoint import load_checkpoint
+from trimodal.checkpoint import _write_archive, load_checkpoint
 from trimodal import evaluate as evaluate_mod
 from trimodal.data import SyntheticConfig, generate_synthetic, sample_audio, sample_video
 from trimodal.encoders import ModalityFeatures
@@ -109,8 +109,8 @@ class TestFreezing:
         s = Stream(21, "mixed")
         shapes = [(4, 3), (2, None), (4, 5), (1, 3), (2, 1), (4, None), (1, 5)]
         samples = [ModalityFeatures(
-            video=Tensor(s.normal((t_v, stack.dims["d_video_raw"]))),
-            audio=None if t_a is None else Tensor(s.normal((t_a, stack.dims["d_audio_raw"]))))
+            video=Tensor(s.normal((t_v, stack.video_in.W.shape[0]))),
+            audio=None if t_a is None else Tensor(s.normal((t_a, stack.audio_mlp.l1.W.shape[0]))))
             for t_v, t_a in shapes]
         for mode in MODES:
             rows = embed_frozen(stack, samples, mode)
@@ -163,12 +163,10 @@ class TestProbeTraining:
         assert head.linear.W.data.tobytes() == ref.W.data.tobytes()
         assert head.linear.b.data.tobytes() == ref.b.data.tobytes()
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.parametrize("lr", [1e306, 1e308], ids=["loss-overflows", "logits-overflow"])
     def test_overflowing_fit_raises_numeric_error(self, trained, lr):
         # on this stack lr 1e306 first overflows the mean NLL, 1e308 the
-        # logits (to +inf and -inf); numpy warns of the overflow in the fit's
-        # own product and mean, the finiteness screen itself stays silent
+        # logits (to +inf and -inf); the fit raises without a numpy warning
         _, man, stack = trained
         with pytest.raises(NumericError):
             train_probe(stack, man, "video", ProbeConfig(lr=lr, epochs=2))
@@ -353,3 +351,18 @@ class TestProbePersistence:
         assert back.mode == "video" and back.n_classes == head.n_classes
         assert np.array_equal(back.linear.W.data, head.linear.W.data)
         assert np.array_equal(back.linear.b.data, head.linear.b.data)
+
+    @pytest.mark.parametrize("blob", [{"mode": "audio+video"},
+                                      {"mode": "audio+video", "n_classes": 3}],
+                             ids=["mode-only", "with-n_classes"])
+    def test_head_shape_comes_from_its_weight(self, tmp_path, blob):
+        # heads store only their mode; those written with `n_classes` as well
+        # still load, and the weight alone sets the head's shape
+        W, b = Stream(3, "head").normal((6, 3)), Stream(4, "head").normal(3)
+        path = tmp_path / "head.lavc"
+        _write_archive(path, [("param.probe.W", W), ("param.probe.b", b),
+                              ("config", np.frombuffer(json.dumps(blob).encode(), np.uint8))])
+        head = load_probe(path)
+        assert (head.mode, head.d_in, head.n_classes) == ("audio+video", 6, 3)
+        assert head.linear.W.data.tobytes() == W.tobytes()
+        assert head.linear.b.data.tobytes() == b.tobytes()

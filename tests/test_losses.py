@@ -44,9 +44,7 @@ def embedding_set(n, d, stream, avail_a=None, avail_t=None) -> EmbeddingSet:
             avail = {"a": avail_a, "v": np.ones(n, dtype=bool), "t": avail_t}[m]
             rows[~avail] = 0.0
             proj[(space, m)] = Tensor(rows)
-    return EmbeddingSet(z_a=Tensor(np.zeros((n, 4))), z_v=Tensor(np.zeros((n, 4))),
-                        z_t=Tensor(np.zeros((n, 4))), proj=proj,
-                        avail_a=avail_a, avail_t=avail_t)
+    return EmbeddingSet(proj=proj, avail_a=avail_a, avail_t=avail_t)
 
 
 class TestNce:
@@ -158,7 +156,6 @@ class TestCrossModalTerms:
             emb_full = embedding_set(6, 5, Stream(seed, "rows"), avail_a=avail)
             keep = np.flatnonzero(avail)
             emb_sub = EmbeddingSet(
-                z_a=emb_full.z_a, z_v=emb_full.z_v, z_t=emb_full.z_t,
                 proj={k: Tensor(v.data[keep]) for k, v in emb_full.proj.items()},
                 avail_a=emb_full.avail_a[keep], avail_t=emb_full.avail_t[keep])
             full = loss_av(emb_full, LossConfig(tau=0.07)).value.item()

@@ -5,11 +5,15 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import TINY_OVERRIDES
+from test_config import _JSON
 from trimodal import config as cfg_mod
 from trimodal import ltf
 from trimodal import train as train_mod
-from trimodal.checkpoint import load_checkpoint, save_checkpoint
+from trimodal.checkpoint import _read_archive, _write_archive, load_checkpoint, save_checkpoint
 from trimodal.data import generate_synthetic
 from trimodal.encoders import EncoderStack
 from trimodal.errors import ConfigError, FormatError, NumericError, TrainingAborted
@@ -153,6 +157,54 @@ class TestCheckpoint:
         bad.write_bytes(tiny_run.checkpoint_path.read_bytes() + b"\0")
         with pytest.raises(FormatError, match="trailing"):
             load_checkpoint(bad)
+
+
+# Any JSON value, at the top level of the `config` entry or in its `config`
+# slot, and the stored tiny config with schema keys edited. Those keys only
+# ever get small values, so that a config the schema accepts never builds a
+# stack much larger than the tiny one.
+_SMALL = (st.none() | st.booleans() | st.integers(-2, 8) | st.floats(-1.0, 2.0)
+          | st.text(max_size=3))
+_KEY = st.sampled_from([(name, key) for name, sec in cfg_mod.SCHEMA.items() for key in sec]
+                       + [(name, None) for name in cfg_mod.SCHEMA] + [("bogus", None)])
+
+
+def _edited(edits) -> dict:
+    config = cfg_mod.resolve_config(overrides=TINY_OVERRIDES)
+    for (name, key), value in edits:
+        if key is None:
+            config[name] = value
+        elif isinstance(config.get(name), dict):
+            config[name][key] = value
+    return {"config": config}
+
+
+_STORED = st.one_of(
+    _JSON, st.dictionaries(st.sampled_from(["config", "stack_dims"]), _JSON),
+    st.lists(st.tuples(_KEY, _SMALL | st.lists(_SMALL, max_size=2)), max_size=3).map(_edited))
+
+
+class TestArbitraryStoredConfigs:
+    @pytest.fixture(scope="class")
+    def archive(self, tmp_path_factory, tiny_run):
+        return (tmp_path_factory.mktemp("stored-config") / "ck.lavc",
+                _read_archive(tiny_run.checkpoint_path))
+
+    @settings(max_examples=250, deadline=None)
+    @given(blob=_STORED)
+    @example(blob={"config": None})
+    @example(blob=_edited([(("model", "n_heads"), 3)]))
+    @example(blob=_edited([(("model", "n_layers"), 2)]))
+    def test_loads_or_raises_format_error(self, archive, blob):
+        path, entries = archive
+        raw = np.frombuffer(json.dumps(blob).encode(), dtype=np.uint8)
+        _write_archive(path, list({**entries, "config": raw}.items()))
+        try:
+            ck = load_checkpoint(path)
+        except FormatError:
+            return
+        for name, p in ck.stack.parameters():
+            assert p.data.tobytes() == entries[f"param.{name}"].tobytes(), name
 
 
 class TestResume:
