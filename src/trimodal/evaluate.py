@@ -8,7 +8,10 @@ sequence length for a whole split (every clip of every video at once).
 The head is fitted on plain arrays with the arithmetic of `Linear.forward`
 and `cross_entropy_rows` (shared through `softmax_nll_rows`) and their
 backward, then the package's `Adam`: bitwise the graph-built fit, without a
-graph per minibatch.
+graph per minibatch. Weight over bias is one `[d_in+1, C]` Adam parameter
+whose gradient fills one preallocated buffer; each epoch gathers the
+embeddings in its order once, and its minibatches are row-slice views of
+that gather; every epoch's order comes from one stream-family permutation.
 
 Test-set accuracy averages logits over several clips per video. Clip 0 is
 the stored feature block; further clips are fresh noise draws around the
@@ -238,27 +241,38 @@ def train_probe(stack: EncoderStack, manifest: Manifest, mode: str,
     y = np.array(labels, dtype=np.int64)
 
     head = Linear(x.shape[1], manifest.n_classes, probe_cfg.seed, "probe")
-    adam = Adam(head.parameters())
-    W, b = head.W, head.b
+    d = x.shape[1]
+    # One Adam parameter J = [W; b]. Adam without clipping updates each
+    # entry on its own, so stepping J gives the bits of stepping W and b
+    # apart. The gradient buffer G is filled in place each minibatch.
+    J = Tensor(np.vstack([head.W.data, head.b.data]))
+    J.grad = G = np.empty_like(J.data)
+    adam = Adam([("probe", J)], grad_clip=0.0)
+    W, b, gW, gb = J.data[:d], J.data[d], G[:d], G[d]
     _ensure_finite(x, "probe embeddings")
+    orders = Stream(probe_cfg.seed, "probe-batches", range(probe_cfg.epochs)).permutation(len(x))
     # The logits and the loss are screened, and Adam screens the gradients,
     # so an overflow ends in `NumericError` without a numpy warning first.
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(probe_cfg.epochs):
-            order = np.array(Stream(probe_cfg.seed, "probe-batches", epoch).permutation(len(x)))
+        for order in orders:
+            xe, ye = x[order], y[order]
             for start in range(0, len(order), probe_cfg.batch_size):
-                idx = order[start:start + probe_cfg.batch_size]
-                xb = x[idx]
+                end = start + probe_cfg.batch_size
+                xb = xe[start:end]
                 # `Linear.forward` and `cross_entropy_rows` with their backward,
-                # on plain arrays; `+ 0.0` turns -0.0 into +0.0 as accumulating
+                # on plain arrays; `+= 0.0` turns -0.0 into +0.0 as accumulating
                 # into a zeroed gradient buffer does
-                logits = _ensure_finite(xb @ W.data + b.data, "probe logits")
-                loss, g = softmax_nll_rows(logits, y[idx])
+                logits = _ensure_finite(xb @ W + b, "probe logits")
+                loss, g = softmax_nll_rows(logits, ye[start:end])
                 _ensure_finite(loss, "probe loss")
-                g *= 1.0 / len(idx)
-                W.grad = xb.T @ g + 0.0
-                b.grad = g.sum(axis=0) + 0.0
+                g *= 1.0 / len(xb)
+                np.matmul(xb.T, g, out=gW)
+                gW += 0.0
+                np.add.reduce(g, axis=0, out=gb)
+                gb += 0.0
                 adam.step(probe_cfg.lr)
+    head.W.data[...] = W
+    head.b.data[...] = b
     return ProbeHead(linear=head, mode=mode)
 
 

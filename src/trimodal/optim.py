@@ -9,7 +9,7 @@ import numpy as np
 
 from .config import DEFAULTS
 from .errors import NumericError
-from .tensor import Tensor
+from .tensor import Tensor, all_finite
 
 _OPTIM = DEFAULTS["optim"]
 
@@ -70,7 +70,7 @@ class Adam:
             g = p.grad
             if g is None:
                 continue  # parameter untouched this step (e.g. ablated loss term)
-            if not np.isfinite(g).all():
+            if not all_finite(g):
                 raise NumericError(f"adam: non-finite gradient for {name!r}; step aborted")
             grads[name] = g
         if not grads:

@@ -38,7 +38,10 @@ ids, range(1, 4))` is an `[len(ids), 3]` family whose member `[r, j]` is
 the stream `Stream(seed, "clip", ids[r], j + 1)`. A family draws every
 member at once: `u64`, `uniform`, `normal` and `integers` return
 `[*family, *shape]` arrays whose rows are bitwise the member streams' own
-draws, and all members advance one shared counter.
+draws, and all members advance one shared counter. `permutation(n)` of a
+family is an `[*family, n]` int64 array whose rows are bitwise the members'
+permutations: every member's Fisher-Yates draws come at once, and each step
+swaps one column across all rows. `shuffle` takes a single stream only.
 """
 
 from __future__ import annotations
@@ -138,6 +141,11 @@ class Stream:
             raise ValueError("bound must be positive")
         return (self.u64(n) % bound).astype(np.int64)
 
+    def _swaps(self, n: int) -> np.ndarray:
+        """Fisher-Yates `j` for i = n-1 .. 1, draw mod (i + 1), all reduced
+        in one array op (`[*family, n - 1]`)."""
+        return self.u64(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)
+
     def shuffle(self, items: list) -> list:
         """Fisher-Yates shuffle; returns a new list, input untouched."""
         if self.family:
@@ -146,11 +154,23 @@ class Stream:
         n = len(out)
         if n < 2:
             return out
-        # j for i = n-1 .. 1 is draw mod (i + 1), all reduced in one array op
-        js = (self.u64(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
-        for i, j in zip(range(n - 1, 0, -1), js):
+        for i, j in zip(range(n - 1, 0, -1), self._swaps(n).tolist()):
             out[i], out[j] = out[j], out[i]
         return out
 
-    def permutation(self, n: int) -> list[int]:
-        return self.shuffle(list(range(n)))
+    def permutation(self, n: int) -> list[int] | np.ndarray:
+        """`shuffle(range(n))` as a list; a family's as one `[*family, n]`
+        int64 array, each row bitwise its member's permutation. A family
+        swaps one column per Fisher-Yates step across all members."""
+        if not self.family:
+            return self.shuffle(list(range(n)))
+        rows = math.prod(self.family)
+        out = np.tile(np.arange(n, dtype=np.int64), (rows, 1))
+        if n >= 2:
+            js = self._swaps(n).reshape(rows, n - 1).astype(np.int64)
+            r = np.arange(rows)
+            for i, j in zip(range(n - 1, 0, -1), js.T):
+                held = out[:, i].copy()
+                out[:, i] = out[r, j]
+                out[r, j] = held
+        return out.reshape(*self.family, n)

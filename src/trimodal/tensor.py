@@ -64,13 +64,20 @@ def no_grad() -> Iterator[None]:
         _GRAD_ENABLED = previous
 
 
+def all_finite(arr: np.ndarray) -> bool:
+    """Whether every element is finite, screened in one pass.
+
+    The sum of squares `vdot(arr, arr)` is non-finite if an element is, and
+    otherwise only when it overflows, which the precise re-check clears.
+    Squares never meet as +inf and -inf, and `np.vdot` (a BLAS dot) reads no
+    floating-point error flags, so unlike a ufunc sum the screen emits no
+    numpy RuntimeWarning."""
+    return math.isfinite(np.vdot(arr, arr)) or bool(np.isfinite(arr).all())
+
+
 def _ensure_finite(arr: np.ndarray, op: str) -> np.ndarray:
-    # One-pass screen, run at every node: the sum of squares `vdot(arr, arr)`
-    # is non-finite if an element is, and otherwise only when it overflows,
-    # which the precise re-check clears. Squares never meet as +inf and -inf,
-    # and `np.vdot` (a BLAS dot) reads no floating-point error flags, so unlike
-    # a ufunc sum the screen emits no numpy RuntimeWarning.
-    if not math.isfinite(np.vdot(arr, arr)) and not np.isfinite(arr).all():
+    """`arr`, after `all_finite` screened it; run at every node."""
+    if not all_finite(arr):
         raise NumericError(f"{op}: produced non-finite values")
     return arr
 
@@ -578,16 +585,21 @@ def softmax_nll_rows(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray
 
     Returns the mean negative log-likelihood of integer `labels` (0-d) and
     its unscaled gradient `softmax - onehot`; the caller multiplies that by
-    its own upstream scale over n. Rows are shifted by their max first."""
-    n = logits.shape[0]
-    rows = np.arange(n)
-    top = logits.max(axis=1, keepdims=True)
-    p = np.exp(logits - top)
-    total = p.sum(axis=1, keepdims=True)
-    nll = (np.log(total[:, 0]) + top[:, 0]) - logits[rows, labels]
+    its own upstream scale over n. Rows are shifted by their max first.
+
+    Every label must lie in [0, k): the labelled entries are addressed by one
+    flat index `row * k + label`, which nothing here range-checks. The
+    reductions are the ufuncs' own, and `add.reduce(nll) / n` is the bits of
+    `nll.mean()`, without the method wrappers' per-call cost."""
+    n, k = logits.shape
+    flat = np.arange(n) * k + labels
+    top = np.maximum.reduce(logits, axis=1, keepdims=True)
+    p = np.exp(logits - top, order="C")  # row-major, so its flat view is itself
+    total = np.add.reduce(p, axis=1, keepdims=True)
+    nll = (np.log(total[:, 0]) + top[:, 0]) - logits.reshape(-1)[flat]
     p /= total
-    p[rows, labels] -= 1.0
-    return np.asarray(nll.mean()), p
+    p.reshape(-1)[flat] -= 1.0
+    return np.asarray(np.add.reduce(nll) / n), p
 
 
 def cross_entropy_rows(logits: Tensor, labels) -> Tensor:

@@ -136,11 +136,12 @@ class TestProbeTraining:
         assert np.array_equal(default.linear.b.data, documented.linear.b.data)
 
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("batch_size", [32, 7])
+    @pytest.mark.parametrize("batch_size", [32, 7, 2, 64])
     def test_fit_matches_graph_loop(self, trained, mode, batch_size):
         # the graph-built minibatch loop that `train_probe` replaced: the
         # plain-array fit must reproduce its head bit for bit, including a
-        # short last minibatch
+        # short last minibatch (of one row at batch size 2: the train split
+        # has 39 videos, 29 with audio) and one minibatch per epoch (64)
         _, man, stack = trained
         cfg = ProbeConfig(epochs=4, batch_size=batch_size)
         records = man.records_for("train")

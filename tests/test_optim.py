@@ -89,6 +89,29 @@ class TestAdam:
         assert np.array_equal(p.data, before)
         assert adam.t == 0
 
+    @pytest.mark.parametrize("bad", [float("inf"), -float("inf")], ids=["+inf", "-inf"])
+    def test_inf_grad_aborts_without_touching_parameters(self, bad):
+        name, p = param((3,), 6)
+        p.grad = np.array([1.0, bad, -2.0])
+        before = p.data.tobytes()
+        adam = Adam([(name, p)])
+        with pytest.raises(NumericError, match=name):
+            adam.step(lr=0.01)
+        assert p.data.tobytes() == before
+        assert adam.t == 0
+
+    def test_finite_grad_whose_sum_of_squares_overflows_steps(self):
+        # each square (1e308) is finite, their sum is not: the one-pass
+        # screen overflows (silently) and the precise re-check clears it
+        name, p = param((4,), 13)
+        p.grad = np.array([1e154, -1e154, 1e154, 1e154])
+        assert not np.isfinite(np.vdot(p.grad, p.grad))
+        before = p.data.copy()
+        adam = Adam([(name, p)])
+        adam.step(lr=0.01)  # a numpy RuntimeWarning would fail here
+        assert adam.t == 1
+        assert np.allclose(p.data - before, -0.01 * np.sign(p.grad), rtol=1e-4)
+
     def test_matches_scalar_loop_reference(self):
         """Vectorized update equals a literal per-element Adam over 100 steps."""
         name, p = param((5, 3), 7)

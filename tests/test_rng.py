@@ -109,9 +109,20 @@ class TestFamilies:
         assert family.uniform().shape == (2, 3)
         assert Stream(1, []).normal(3).shape == (0, 3)
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 348])
+    @pytest.mark.parametrize("key", [([4, 9, 1],), (range(2), ["a", "b", "c"])],
+                             ids=["family-3", "family-2x3"])
+    def test_family_permutation_rows_are_member_permutations(self, n, key):
+        perms = Stream(1, "perm", *key).permutation(n)
+        family = tuple(len(k) for k in key)
+        assert perms.shape == (*family, n) and perms.dtype == np.int64
+        for pos in np.ndindex(family):
+            members = [k[i] for k, i in zip(key, pos)]
+            assert perms[pos].tolist() == Stream(1, "perm", *members).permutation(n)
+
     def test_family_cannot_shuffle(self):
         with pytest.raises(ValueError):
-            Stream(1, [1, 2]).permutation(5)
+            Stream(1, [1, 2]).shuffle([1, 2, 3])
 
     def test_bad_member_rejected(self):
         with pytest.raises(TypeError):

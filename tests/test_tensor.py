@@ -102,6 +102,38 @@ class TestSoftmaxRows:
         assert err < 1e-6
 
 
+def _softmax_nll_rows_reference(logits, labels):
+    """`softmax_nll_rows` as it was written with method calls and a
+    two-axis label index."""
+    n = logits.shape[0]
+    rows = np.arange(n)
+    top = logits.max(axis=1, keepdims=True)
+    p = np.exp(logits - top)
+    total = p.sum(axis=1, keepdims=True)
+    nll = (np.log(total[:, 0]) + top[:, 0]) - logits[rows, labels]
+    p /= total
+    p[rows, labels] -= 1.0
+    return np.asarray(nll.mean()), p
+
+
+class TestSoftmaxNllRows:
+    @pytest.mark.parametrize("n", [1, 7, 32])
+    @pytest.mark.parametrize("kind", ["normal", "tied", "spread-1e3"])
+    def test_bits_match_reference(self, n, kind):
+        y = Stream(n, "nll-labels").integers(n, 10)
+        if kind == "tied":
+            logits = np.repeat(Stream(n, "nll", kind).normal((n, 1)), 10, axis=1)
+            logits[:, ::3] += 1.0  # ties for the row max as well
+        else:
+            sigma = 1e3 if kind == "spread-1e3" else 4.0
+            logits = Stream(n, "nll", kind).normal((n, 10), sigma=sigma)
+        loss, g = T.softmax_nll_rows(logits.copy(), y)
+        ref_loss, ref_g = _softmax_nll_rows_reference(logits, y)
+        assert loss.shape == () and g.shape == (n, 10)
+        assert loss.tobytes() == ref_loss.tobytes()
+        assert g.tobytes() == ref_g.tobytes()
+
+
 class TestCrossEntropyRows:
     @pytest.mark.parametrize("n", [1, 7, 32])
     def test_bits_match_two_pass_definition(self, n):
