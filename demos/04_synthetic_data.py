@@ -45,7 +45,7 @@ print("\n== batching is keyed on (seed, epoch) ==")
 b0 = make_batches(man, "train", 16, seed=3, epoch=0)
 b0_again = make_batches(man, "train", 16, seed=3, epoch=0)
 b1 = make_batches(man, "train", 16, seed=3, epoch=1)
-order = lambda bs: [s.id for b in bs for s in b.samples]
+order = lambda bs: [s.id for b in bs for s in b]
 print("same epoch reproduces order:", order(b0) == order(b0_again))
 print("next epoch reshuffles:      ", order(b0) != order(b1))
 

@@ -14,9 +14,10 @@ the stack from it with `config.encoder_stack`, then fills in the entries.
 Archives written by earlier versions also carry a `stack_dims` key beside
 it, which loading ignores. A probe head (`evaluate.save_probe`) is an
 archive of `param.probe.W`, `param.probe.b` and a `config` entry `{"mode"}`.
-Names must be unique; readers reject bad magic, duplicates and truncation,
-and any fault in a stored entry raises `FormatError`. Archives are written
-atomically.
+Names must be unique; readers reject bad magic, names that are not UTF-8,
+duplicates, truncation and (as every LTF reader does) float64 entries
+holding NaN or infinite values, and any fault in a stored entry raises
+`FormatError`. Archives are written atomically.
 """
 
 from __future__ import annotations
@@ -70,7 +71,10 @@ def _read_archive(path) -> dict[str, np.ndarray]:
             raw = f.read(name_len)
             if len(raw) != name_len:
                 raise FormatError(f"{path}: truncated entry name")
-            name = raw.decode("utf-8")
+            try:
+                name = raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise FormatError(f"{path}: entry name {raw!r} is not UTF-8 ({e.reason})") from e
             if name in entries:
                 raise FormatError(f"{path}: duplicate entry {name!r}")
             entries[name] = ltf.read_stream(f, f"{path}:{name}")
@@ -129,8 +133,8 @@ def read_config(path, entries: dict[str, np.ndarray], *keys: str) -> dict:
 
 def _counters(path, counters: np.ndarray) -> tuple[int, int, int]:
     """`state.counters` as (step, epochs_done, adam_t), or a `FormatError`."""
-    if (counters.shape != (3,) or not np.isfinite(counters).all()
-            or (counters < 0).any() or (counters != np.floor(counters)).any()):
+    if (counters.shape != (3,) or (counters < 0).any()
+            or (counters != np.floor(counters)).any()):
         raise FormatError(f"{path}: entry 'state.counters' must hold 3 non-negative "
                           f"integers [step, epochs_done, adam_t], got "
                           f"{np.array2string(counters, threshold=6)}")

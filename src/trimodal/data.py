@@ -56,14 +56,6 @@ class BatchSample:
     features: ModalityFeatures
 
 
-@dataclass
-class Batch:
-    samples: list[BatchSample]
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-
 class Manifest:
     """Parsed manifest plus lazily cached per-sample features."""
 
@@ -345,23 +337,19 @@ def load_manifest(path) -> Manifest:
     return man
 
 
-def make_batches(manifest: Manifest, split: str, batch_size: int, seed: int, epoch: int) -> list[Batch]:
-    """Shuffle a split with a stream keyed on (seed, epoch) and chunk it."""
+def make_batches(manifest: Manifest, split: str, batch_size: int, seed: int,
+                 epoch: int) -> list[list[BatchSample]]:
+    """Shuffle a split with a stream keyed on (seed, epoch) and chunk it into
+    batches, each a list of samples."""
     if batch_size < 2:
         raise ConfigError("batch_size must be >= 2 (contrastive losses need negatives)")
     recs = manifest.records_for(split)
     if not recs:
         raise ConfigError(f"split {split!r} is empty")
     order = Stream(seed, "batches", epoch).permutation(len(recs))
-    batches = []
-    for start in range(0, len(order), batch_size):
-        chunk = order[start:start + batch_size]
-        samples = [
-            BatchSample(recs[i].id, recs[i].label, manifest.load_features(recs[i]))
-            for i in chunk
-        ]
-        batches.append(Batch(samples))
-    return batches
+    samples = [BatchSample(recs[i].id, recs[i].label, manifest.load_features(recs[i]))
+               for i in order]
+    return [samples[start:start + batch_size] for start in range(0, len(samples), batch_size)]
 
 
 def augment_audio(spectrogram: Tensor, sigma: float, seed: int) -> Tensor:

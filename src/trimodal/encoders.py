@@ -8,8 +8,11 @@ similarities stay in [-1, 1] before temperature scaling.
 `encode_video` and `encode_audio` take one `[T, d_raw]` sequence or a
 `[B, T, d_raw]` stack of equal-length sequences, and return `[d_model]` or
 `[B, d_model]`; a stacked row is bitwise the row of its own one-sample call.
+Frozen-encoder evaluation (`evaluate.embed_frozen`) takes raw arrays and
+calls them on such stacks.
 
-Batch embedding is strictly per-sample: a sample's embeddings and projections
+`embed_batch` takes a batch as a plain list of `data.BatchSample`. Batch
+embedding is strictly per-sample: a sample's embeddings and projections
 never depend on which other samples share the batch, which is what makes
 masked losses bitwise equal to their physically reduced sub-batch versions.
 Missing modalities yield zero-filled rows that are disconnected from the
@@ -140,13 +143,13 @@ class EncoderStack:
 
     # -- batch embedding ---------------------------------------------------
 
-    def embed_batch(self, batch, spaces: tuple[str, ...] = ("av", "vt", "avt")) -> EmbeddingSet:
-        """Encode and project every sample of a batch (see data.Batch).
+    def embed_batch(self, samples, spaces: tuple[str, ...] = ("av", "vt", "avt")) -> EmbeddingSet:
+        """Encode and project every sample of a batch, a list of
+        `data.BatchSample`.
 
         `spaces` restricts the computed projections (and the encoders they
         need) when some loss terms are disabled; the default covers all.
         """
-        samples = batch.samples
         if not samples:
             raise ShapeError("embed_batch: empty batch")
         for space in spaces:

@@ -1,23 +1,27 @@
 """Downstream protocol: linear probes on frozen encoders.
 
-A probe is one linear layer trained with cross-entropy on cached embeddings
-(video-only, or video and audio embeddings concatenated video-first). The
-encoders never receive gradients; their parameters are bitwise untouched.
-Embedding runs without a graph, in one encoder call per modality and
-sequence length for a whole split (every clip of every video at once).
-The head is fitted on plain arrays with the arithmetic of `Linear.forward`
-and `cross_entropy_rows` (shared through `softmax_nll_rows`) and their
-backward, then the package's `Adam`: bitwise the graph-built fit, without a
-graph per minibatch. Weight over bias is one `[d_in+1, C]` Adam parameter
-whose gradient fills one preallocated buffer; each epoch gathers the
-embeddings in its order once, and its minibatches are row-slice views of
-that gather; every epoch's order comes from one stream-family permutation.
+A probe head is its weight `W` (`[d_in, C]`), bias `b` and mode: it reads
+video-only embeddings, or video and audio embeddings concatenated
+video-first, and is trained with cross-entropy. The encoders never receive
+gradients; their parameters are bitwise untouched. `embed_frozen` maps
+raw blocks (arrays) to one `[n, d]` array without a graph, in one encoder
+call per modality and sequence length for a whole split (every clip of
+every video at once). The head is fitted on plain arrays with the
+arithmetic of `Linear.forward` and `cross_entropy_rows` (shared through
+`softmax_nll_rows`) and their backward, then the package's `Adam`: bitwise
+the graph-built fit of `Linear(d_in, C, seed, "probe")`. Weight over bias
+is one `[d_in+1, C]` Adam parameter whose gradient fills one preallocated
+buffer; each epoch gathers the embeddings in its order once, and its
+minibatches are row-slice views of that gather; every epoch's order comes
+from one stream-family permutation.
 
 Test-set accuracy averages logits over several clips per video. Clip 0 is
 the stored feature block; further clips are fresh noise draws around the
 sample's class template, read from the dataset's meta record (the synthetic
 stand-in for sampling extra temporal crops). A split's extra clips come
-from one stream-family draw per modality, bitwise the per-clip streams.
+from one stream-family draw per modality, bitwise the per-clip streams, and
+the split is scored in one stacked product, `[n, J, d] @ W + b` averaged
+over its J clips.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .config import DEFAULTS, section
 from .data import Manifest, Record, SyntheticConfig, sample_audio, sample_video
 from .encoders import EncoderStack, ModalityFeatures
 from .errors import AvailabilityError, ConfigError, FormatError
-from .layers import Linear
+from .layers import _uniform_init
 from .ltf import load_ltf
 from .optim import Adam
 from .rng import Stream
@@ -61,19 +65,19 @@ class ProbeConfig:
 
 @dataclass
 class ProbeHead:
-    linear: Linear
+    """Logits `x @ W + b` for the frozen embeddings `x` of `mode`."""
+
+    W: np.ndarray  # [d_in, n_classes]
+    b: np.ndarray  # [n_classes]
     mode: str
 
     @property
     def d_in(self) -> int:
-        return self.linear.W.shape[0]
+        return self.W.shape[0]
 
     @property
     def n_classes(self) -> int:
-        return self.linear.W.shape[1]
-
-    def logits(self, feats: np.ndarray) -> np.ndarray:
-        return feats @ self.linear.W.data + self.linear.b.data
+        return self.W.shape[1]
 
 
 @dataclass
@@ -109,18 +113,7 @@ class EvalReport:
         }
 
 
-def fuse_embeddings(z_v: Tensor, z_a: Tensor | None) -> Tensor:
-    """Concatenate frozen embeddings video-first: [z_v ; z_a], for one
-    embedding each or for [n, d] rows of n samples."""
-    if z_a is None:
-        raise AvailabilityError("fuse_embeddings: audio embedding missing")
-    if z_v.data.ndim not in (1, 2) or z_v.shape[:-1] != z_a.shape[:-1]:
-        raise ConfigError("fuse_embeddings expects 1-D embeddings or [n, d] rows of "
-                          f"equal count, got {z_v.shape} and {z_a.shape}")
-    return Tensor(np.concatenate([z_v.data, z_a.data], axis=-1))
-
-
-def _encode_by_length(encode, seqs: list[Tensor]) -> Tensor:
+def _encode_by_length(encode, seqs: list[np.ndarray]) -> np.ndarray:
     """`encode` of each [T, d] sequence, as [n, d_model] rows in input order:
     one call per distinct length T, on the [B, T, d] stack of that length."""
     groups: dict[int, list[int]] = {}
@@ -128,34 +121,37 @@ def _encode_by_length(encode, seqs: list[Tensor]) -> Tensor:
         groups.setdefault(seq.shape[0], []).append(i)
     rows = None
     for idx in groups.values():
-        z = encode(Tensor(np.stack([seqs[i].data for i in idx]))).data
+        z = encode(Tensor(np.stack([seqs[i] for i in idx]))).data
         if rows is None:
             rows = np.empty((len(seqs), z.shape[1]))
         rows[idx] = z
-    return Tensor(rows)
+    return rows
 
 
 def _embeddable(feats: ModalityFeatures, mode: str) -> bool:
     return mode == "video" or feats.has_audio
 
 
-def embed_frozen(stack: EncoderStack, samples: list[ModalityFeatures],
-                 mode: str) -> list[np.ndarray | None]:
-    """Frozen embeddings of `samples` in input order, computed without
-    recording a graph; None where fusion lacks audio. Each row is bitwise
-    that sample's own one-sample encoding."""
-    kept = [i for i, f in enumerate(samples) if _embeddable(f, mode)]
-    out: list[np.ndarray | None] = [None] * len(samples)
-    if not kept:
-        return out
+def _stored_blocks(manifest: Manifest, records: list[Record], mode: str):
+    """The records whose samples `mode` can embed, their stored video blocks
+    and, for the fused probe, their audio blocks (None for the video probe)."""
+    feats = [(rec, manifest.load_features(rec)) for rec in records]
+    kept = [(rec, f) for rec, f in feats if _embeddable(f, mode)]
+    audio = None if mode == "video" else [f.audio.data for _, f in kept]
+    return [rec for rec, _ in kept], [f.video.data for _, f in kept], audio
+
+
+def embed_frozen(stack: EncoderStack, video: list[np.ndarray],
+                 audio: list[np.ndarray] | None = None) -> np.ndarray:
+    """Frozen `[n, d]` embeddings of n samples in input order, computed
+    without recording a graph: the video encoding of each `[T, d_raw]`
+    block, followed by the audio encoding of its audio block when `audio`
+    is given. Each row is bitwise that sample's own one-sample encoding."""
     with no_grad():
-        z = _encode_by_length(stack.encode_video, [samples[i].video for i in kept])
-        if mode != "video":
-            z = fuse_embeddings(
-                z, _encode_by_length(stack.encode_audio, [samples[i].audio for i in kept]))
-    for i, row in zip(kept, z.data):
-        out[i] = row
-    return out
+        z = _encode_by_length(stack.encode_video, video)
+        if audio is None:
+            return z
+        return np.concatenate([z, _encode_by_length(stack.encode_audio, audio)], axis=1)
 
 
 class _ClipSource:
@@ -193,30 +189,26 @@ class _ClipSource:
                               f"the config needs {(self.cfg.n_classes, *block)}")
         return arr
 
-    def clips(self, records: list[Record], stored: list[ModalityFeatures],
-              n_clips: int) -> list[ModalityFeatures]:
-        """Clips 0..n_clips-1 of every record, record by record. Clip j of a
-        record is drawn from the stream `(seed, "clip-video", id, j)` (and
-        `"clip-audio"`); a whole split's clips come from one family draw per
-        modality."""
+    def clips(self, records: list[Record], video: list[np.ndarray],
+              audio: list[np.ndarray] | None, n_clips: int):
+        """Clips 0..n_clips-1 of every record, record by record, as a list of
+        video blocks and a list of audio blocks (None without `audio`). Clip
+        0 is the record's stored block; clip j > 0 is drawn from the stream
+        `(seed, "clip-video", id, j)` (and `"clip-audio"`), and a whole
+        split's clips come from one family draw per modality."""
         labels = [rec.label for rec in records]
         key = ([rec.id for rec in records], range(1, n_clips))
-        video = sample_video(self.cfg, self.m_video[labels][:, None],
-                             (self.seed, "clip-video", *key))
-        audio = None
-        if self.m_audio is not None:
-            audio = sample_audio(self.cfg, self.m_audio[labels][:, None],
-                                 (self.seed, "clip-audio", *key))
-        out = []
-        for r, feats in enumerate(stored):
-            out.append(feats)
-            for j in range(n_clips - 1):
-                clip_audio = feats.audio
-                if audio is not None and feats.has_audio:
-                    clip_audio = Tensor(audio[r, j])
-                out.append(ModalityFeatures(video=Tensor(video[r, j]), audio=clip_audio,
-                                            text=feats.text))
-        return out
+        video = _after_stored(video, sample_video(self.cfg, self.m_video[labels][:, None],
+                                                  (self.seed, "clip-video", *key)))
+        if audio is not None:
+            audio = _after_stored(audio, sample_audio(self.cfg, self.m_audio[labels][:, None],
+                                                      (self.seed, "clip-audio", *key)))
+        return video, audio
+
+
+def _after_stored(stored: list[np.ndarray], drawn: np.ndarray) -> list[np.ndarray]:
+    """Each record's stored block followed by its drawn clips `drawn[r]`."""
+    return [clip for block, more in zip(stored, drawn) for clip in (block, *more)]
 
 
 def train_probe(stack: EncoderStack, manifest: Manifest, mode: str,
@@ -225,27 +217,22 @@ def train_probe(stack: EncoderStack, manifest: Manifest, mode: str,
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     probe_cfg = probe_cfg or ProbeConfig()
-    records = manifest.records_for("train")
-    embs = embed_frozen(stack, [manifest.load_features(rec) for rec in records], mode)
-    feats, labels = [], []
-    for rec, emb in zip(records, embs):
-        if emb is None:
-            continue  # fusion probe trains only where audio exists
-        feats.append(emb)
-        labels.append(rec.label)
-    if not feats:
+    # the fusion probe trains only where audio exists
+    records, video, audio = _stored_blocks(manifest, manifest.records_for("train"), mode)
+    if not records:
         raise AvailabilityError(
             "no usable training samples for this probe mode (audio+video requires "
             "at least one training sample with audio)")
-    x = np.stack(feats)
-    y = np.array(labels, dtype=np.int64)
+    x = embed_frozen(stack, video, audio)
+    y = np.array([rec.label for rec in records], dtype=np.int64)
 
-    head = Linear(x.shape[1], manifest.n_classes, probe_cfg.seed, "probe")
-    d = x.shape[1]
-    # One Adam parameter J = [W; b]. Adam without clipping updates each
-    # entry on its own, so stepping J gives the bits of stepping W and b
-    # apart. The gradient buffer G is filled in place each minibatch.
-    J = Tensor(np.vstack([head.W.data, head.b.data]))
+    d, c = x.shape[1], manifest.n_classes
+    # One Adam parameter J = [W; b], initialised as `Linear(d, c, seed,
+    # "probe")` is. Adam without clipping updates each entry on its own, so
+    # stepping J gives the bits of stepping W and b apart. The gradient
+    # buffer G is filled in place each minibatch.
+    J = Tensor(np.vstack([_uniform_init((d, c), d, c, probe_cfg.seed, "probe.W").data,
+                          np.zeros(c)]))
     J.grad = G = np.empty_like(J.data)
     adam = Adam([("probe", J)], grad_clip=0.0)
     W, b, gW, gb = J.data[:d], J.data[d], G[:d], G[d]
@@ -271,9 +258,7 @@ def train_probe(stack: EncoderStack, manifest: Manifest, mode: str,
                 np.add.reduce(g, axis=0, out=gb)
                 gb += 0.0
                 adam.step(probe_cfg.lr)
-    head.W.data[...] = W
-    head.b.data[...] = b
-    return ProbeHead(linear=head, mode=mode)
+    return ProbeHead(W=W, b=b, mode=mode)
 
 
 def evaluate(stack: EncoderStack, head: ProbeHead, manifest: Manifest, split: str,
@@ -287,30 +272,22 @@ def evaluate(stack: EncoderStack, head: ProbeHead, manifest: Manifest, split: st
     source = None
     if clips_per_video > 1:
         source = _ClipSource(manifest, need_audio=(head.mode == "audio+video"), seed=seed)
-    scored, stored = [], []
-    for rec in records:
-        feats = manifest.load_features(rec)
-        if _embeddable(feats, head.mode):
-            scored.append(rec)
-            stored.append(feats)
+    scored, video, audio = _stored_blocks(manifest, records, head.mode)
     if not scored:
         raise AvailabilityError(f"split {split!r} has no scorable videos in mode {head.mode!r}")
-    clips = stored if source is None else source.clips(scored, stored, clips_per_video)
-    embs = embed_frozen(stack, clips, head.mode)
-    hits: dict[int, int] = {}
-    totals: dict[int, int] = {}
-    correct = 0
-    for r, rec in enumerate(scored):
-        clip_embs = embs[r * clips_per_video:(r + 1) * clips_per_video]
-        logits = head.logits(np.stack(clip_embs)).mean(axis=0)
-        totals[rec.label] = totals.get(rec.label, 0) + 1
-        if int(np.argmax(logits)) == rec.label:
-            correct += 1
-            hits[rec.label] = hits.get(rec.label, 0) + 1
-    per_class = {k: hits.get(k, 0) / t for k, t in sorted(totals.items())}
-    counts = {k: (hits.get(k, 0), t) for k, t in sorted(totals.items())}
-    return SplitResult(split=split, top1=correct / len(scored), n=len(scored),
-                       n_excluded=len(records) - len(scored), per_class=per_class,
+    if source is not None:
+        video, audio = source.clips(scored, video, audio, clips_per_video)
+    z = embed_frozen(stack, video, audio).reshape(len(scored), clips_per_video, -1)
+    # [n, J, d] @ W as a stack of [J, d] products (never flattened to
+    # [n*J, d]), so each video's logits are bitwise its own product's
+    pred = (np.matmul(z, head.W) + head.b).mean(axis=1).argmax(axis=1)
+    labels = np.array([rec.label for rec in scored])
+    totals = np.bincount(labels)
+    hits = np.bincount(labels[pred == labels], minlength=totals.size)
+    counts = {k: (h, t) for k, (h, t) in enumerate(zip(hits.tolist(), totals.tolist())) if t}
+    return SplitResult(split=split, top1=sum(h for h, _ in counts.values()) / len(scored),
+                       n=len(scored), n_excluded=len(records) - len(scored),
+                       per_class={k: h / t for k, (h, t) in counts.items()},
                        class_counts=counts)
 
 
@@ -336,8 +313,8 @@ def save_probe(path, head: ProbeHead) -> None:
     """The head's weight, bias and mode; its shape is the weight's."""
     blob = json.dumps({"mode": head.mode}).encode("utf-8")
     ckpt_mod._write_archive(path, [
-        ("param.probe.W", head.linear.W.data),
-        ("param.probe.b", head.linear.b.data),
+        ("param.probe.W", head.W),
+        ("param.probe.b", head.b),
         ("config", np.frombuffer(blob, dtype=np.uint8)),
     ])
 
@@ -352,7 +329,4 @@ def load_probe(path) -> ProbeHead:
     if w.ndim != 2 or b.shape != (w.shape[1],):
         raise FormatError(f"{path}: probe weight {w.shape} and bias {b.shape} "
                           "do not form a linear layer")
-    head = Linear(w.shape[0], w.shape[1], 0, "probe")
-    head.W.data[...] = w
-    head.b.data[...] = b
-    return ProbeHead(linear=head, mode=blob["mode"])
+    return ProbeHead(W=w, b=b, mode=blob["mode"])

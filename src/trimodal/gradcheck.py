@@ -25,7 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import tensor as T
-from .data import Batch, BatchSample
+from .data import BatchSample
 from .encoders import EncoderStack, ModalityFeatures
 from .losses import LossConfig, compute_centroids, loss_total
 from .rng import Stream
@@ -252,7 +252,7 @@ OP_CASES = {
 
 
 def tiny_training_setup(seed: int):
-    """A miniature encoder stack plus one mixed-availability batch."""
+    """A miniature encoder stack plus one mixed-availability batch of samples."""
     stack = EncoderStack(d_video_raw=3, d_audio_raw=3, vocab=6, d_model=4,
                          n_heads=1, n_layers=1, d_ff=4, d_proj=3,
                          audio_hidden=4, max_text_len=16, seed=seed)
@@ -263,7 +263,7 @@ def tiny_training_setup(seed: int):
         audio = Tensor(s.normal((2, 3))) if i != 1 else None       # sample 1: no audio
         text = s.integers(2, 6) if i != 2 else None                # sample 2: no text
         samples.append(BatchSample(f"g{i}", i % 2, ModalityFeatures(video, audio, text)))
-    return stack, Batch(samples)
+    return stack, samples
 
 
 def end_to_end_case(seed: int):

@@ -9,10 +9,11 @@ Layout:
     data   row-major payload, little-endian
 
 Readers reject bad magic, unknown dtypes, nonzero padding, dims that form
-no array shape and truncated payloads; a payload larger than the rest of the
-file is rejected before it is read, and `load_ltf` rejects NaN and infinite
-values. uint8 exists only to embed opaque byte blobs (e.g. the config
-document inside a checkpoint archive); numeric tensors are always float64.
+no array shape, truncated payloads and float64 payloads holding NaN or
+infinite values; a payload larger than the rest of the file is rejected
+before it is read. uint8 exists only to embed opaque byte blobs (e.g. the
+config document inside a checkpoint archive); numeric tensors are always
+float64.
 
 Files are written atomically (`atomic_write`): a write that fails, or a
 process that dies mid-write, leaves the previous file, never a truncated one.
@@ -30,7 +31,7 @@ from typing import BinaryIO, Iterator
 import numpy as np
 
 from .errors import FormatError
-from .tensor import Tensor
+from .tensor import Tensor, all_finite
 
 MAGIC = b"LTF1"
 DTYPE_F64 = 0
@@ -98,13 +99,17 @@ def read_stream(f: BinaryIO, path: str = "<stream>") -> np.ndarray:
     left = f.seek(0, io.SEEK_END) - here
     f.seek(here)
     if size > left:  # checked before reading: a forged header must not size an allocation
-        raise FormatError(f"{path}: truncated (header declares {size} payload bytes, "
-                          f"{left} left)")
+        # (`size` may have more digits than Python will print)
+        raise FormatError(f"{path}: truncated (header declares more payload bytes "
+                          f"than the {left} left)")
     payload = _read_exact(f, size, path)
     try:
-        return np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+        arr = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
     except ValueError as e:  # empty payload, but dims numpy cannot represent
         raise FormatError(f"{path}: dims {dims} are not an array shape ({e})") from e
+    if code == DTYPE_F64 and not all_finite(arr):
+        raise FormatError(f"{path}: payload holds NaN or infinite values")
+    return arr
 
 
 def save_ltf(path, value: Tensor | np.ndarray) -> None:
@@ -122,6 +127,4 @@ def load_ltf(path) -> Tensor:
         raise FormatError(f"{path}: trailing bytes after payload")
     if arr.dtype != np.float64:
         raise FormatError(f"{path}: expected float64 payload")
-    if not np.isfinite(arr).all():
-        raise FormatError(f"{path}: payload holds NaN or infinite values")
     return Tensor(arr)

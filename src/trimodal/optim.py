@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULTS
 from .errors import NumericError
-from .tensor import Tensor, all_finite
+from .tensor import Tensor
 
 _OPTIM = DEFAULTS["optim"]
+# The largest gradient entry whose square `v` can hold.
+_MAX_GRAD = math.sqrt(sys.float_info.max)
 
 
 @dataclass
@@ -48,8 +51,9 @@ class CosineSchedule:
 class Adam:
     """Standard Adam over named parameters; state is checkpointable.
 
-    Aborts the step (raising NumericError, parameters untouched) if any
-    gradient is missing or non-finite.
+    Aborts the step (raising NumericError, parameters and state untouched)
+    if no gradient is given, or if one is non-finite or has an entry whose
+    square overflows (above `sqrt(float max)`).
     """
 
     def __init__(self, params: list[tuple[str, Tensor]],
@@ -70,8 +74,14 @@ class Adam:
             g = p.grad
             if g is None:
                 continue  # parameter untouched this step (e.g. ablated loss term)
-            if not all_finite(g):
-                raise NumericError(f"adam: non-finite gradient for {name!r}; step aborted")
+            # The sum of squares is finite for almost every gradient; only
+            # when it is not are the entries looked at one by one.
+            if not math.isfinite(np.vdot(g, g)):
+                if not np.isfinite(g).all():
+                    raise NumericError(f"adam: non-finite gradient for {name!r}; step aborted")
+                if np.abs(g).max() > _MAX_GRAD:
+                    raise NumericError(f"adam: gradient for {name!r} has an entry above "
+                                       f"{_MAX_GRAD:.4g}, whose square overflows; step aborted")
             grads[name] = g
         if not grads:
             raise NumericError("adam: no parameter received a gradient")

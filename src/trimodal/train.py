@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import config as cfg_mod
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import Batch, BatchSample, augment_audio, load_manifest, make_batches
+from .data import BatchSample, augment_audio, load_manifest, make_batches
 from .encoders import ModalityFeatures
 from .errors import ConfigError, NumericError, TrainingAborted
 from .losses import compute_centroids, loss_total
@@ -35,20 +35,21 @@ class TrainResult:
     epoch_checkpoints: dict[int, Path] = field(default_factory=dict)
 
 
-def _augmented(batch: Batch, sigma: float, seed: int, epoch: int, batch_idx: int) -> Batch:
+def _augmented(batch: list[BatchSample], sigma: float, seed: int, epoch: int,
+               batch_idx: int) -> list[BatchSample]:
     if sigma <= 0:
         return batch
     parent = Stream(seed, "augseed", epoch, batch_idx)
-    child_seeds = parent.u64(len(batch.samples))
+    child_seeds = parent.u64(len(batch))
     out = []
-    for slot, s in enumerate(batch.samples):
+    for slot, s in enumerate(batch):
         if s.features.has_audio:
             noisy = augment_audio(s.features.audio, sigma, int(child_seeds[slot]))
             out.append(BatchSample(s.id, s.label, ModalityFeatures(
                 video=s.features.video, audio=noisy, text=s.features.text)))
         else:
             out.append(s)
-    return Batch(out)
+    return out
 
 
 def pretrain(cfg: dict, data_dir, out_path, log_path=None, resume=None) -> TrainResult:

@@ -20,7 +20,7 @@ import pytest
 from conftest import ACCEPTANCE_LINES, TINY_OVERRIDES
 from trimodal import config as cfg_mod
 from trimodal.checkpoint import load_checkpoint, save_checkpoint
-from trimodal.data import Batch, BatchSample, generate_synthetic, load_manifest
+from trimodal.data import BatchSample, generate_synthetic, load_manifest
 from trimodal.encoders import EncoderStack, ModalityFeatures
 from trimodal.evaluate import evaluate_all_splits, train_probe
 from trimodal.gradcheck import run_all
@@ -159,8 +159,7 @@ class TestCriterion3MaskingEquivalence:
                     video=Tensor(s.normal((3, 4))),
                     audio=Tensor(s.normal((2, 3))) if has_a else None,
                     text=s.integers(2, 8) if has_t else None)))
-            batch = Batch(samples)
-            emb = stack.embed_batch(batch)
+            emb = stack.embed_batch(samples)
             cents = compute_centroids(emb)
 
             def value(term, emb_, cents_=None):
@@ -179,7 +178,7 @@ class TestCriterion3MaskingEquivalence:
             for term in ("av", "vt", "avt"):
                 full = value(term, emb, cents)
                 if keep[term]:
-                    sub = value(term, stack.embed_batch(Batch(keep[term])))
+                    sub = value(term, stack.embed_batch(keep[term]))
                 else:
                     sub = 0.0
                 if full != sub:
@@ -317,7 +316,7 @@ class TestCriterion8FullScaleShapes:
                 video=Tensor(s.normal((16, 512))),
                 audio=Tensor(s.normal((256, 80))),       # [time, mel] = [256, 80]
                 text=s.integers(128, 48000))))
-        emb = stack.embed_batch(Batch(samples))
+        emb = stack.embed_batch(samples)
         lb = loss_total(emb, compute_centroids(emb), LossConfig(tau=0.07))
         backward(lb.total)
         grads = sum(1 for _, p in stack.parameters() if p.grad is not None)

@@ -1,0 +1,37 @@
+"""The names `perfbench/` relies on exist in the program.
+
+The benchmark wraps functions and counts ops by name; a rename it has not
+followed would make it report `correct: false`. These checks make such a
+rename fail the tests instead. They only read `perfbench/`.
+"""
+
+import importlib
+import json
+import os
+import sys
+from pathlib import Path
+
+from trimodal.gradcheck import OP_CASES
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, os.fspath(PERFBENCH))
+import tracing  # noqa: E402
+import workloads  # noqa: E402
+
+
+def test_every_traced_name_resolves():
+    for module_name, attr, _ in tracing.TRACED:
+        owner = importlib.import_module(module_name)
+        *cls, name = attr.split(".")
+        if cls:
+            owner = getattr(owner, cls[0])
+        assert name in vars(owner), f"{module_name}.{attr}"
+
+
+def test_gradcheck_ops_are_op_cases():
+    assert set(workloads.GRADCHECK_OPS) <= set(OP_CASES)
+
+
+def test_workloads_match_benchmark_json():
+    declared = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["workloads"]
+    assert set(workloads.WORKLOADS) == {w["name"] for w in declared}

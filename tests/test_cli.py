@@ -14,7 +14,7 @@ from test_ltf import ltf_header
 from trimodal.checkpoint import _read_archive, _write_archive, load_checkpoint
 from trimodal.cli import main
 from trimodal.evaluate import ProbeHead, save_probe
-from trimodal.layers import Linear
+from trimodal.rng import Stream
 
 
 @pytest.fixture(scope="module")
@@ -194,7 +194,7 @@ class TestMalformedInputs:
     ], ids=["no-config", "1d-weight", "mode-int", "mode-unknown"])
     def test_forged_probe_head_exit_3(self, cli_env, tmp_path, capsys, forge, message):
         head = tmp_path / "head.lavc"
-        save_probe(head, ProbeHead(Linear(4, 3, 0, "probe"), "video"))
+        save_probe(head, ProbeHead(Stream(0, "head").normal((4, 3)), np.zeros(3), "video"))
         entries = _read_archive(head)
         forge(entries)
         _write_archive(head, list(entries.items()))
@@ -204,6 +204,31 @@ class TestMalformedInputs:
         assert code == 3
         err = capsys.readouterr().err
         assert str(head) in err and message in err
+
+    def test_non_utf8_entry_name_exit_3(self, cli_env, tmp_path, capsys):
+        head = tmp_path / "head.lavc"
+        save_probe(head, ProbeHead(Stream(0, "head").normal((4, 3)), np.zeros(3), "video"))
+        raw = head.read_bytes()
+        assert raw.count(b"param.probe.b") == 1
+        head.write_bytes(raw.replace(b"param.probe.b", b"param.probe.\xff"))
+        code = main(["eval", "--ckpt", str(cli_env["ckpt"]), "--data", str(cli_env["data"]),
+                     "--mode", "video", "--clips", "1", "--head", str(head),
+                     "--config", str(cli_env["cfg"])])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(head) in err and "is not UTF-8" in err
+
+    def test_nan_parameter_exit_3(self, cli_env, tmp_path, capsys):
+        # rejected as the archive is read, not at the first forward (exit 4)
+        entries = _read_archive(cli_env["ckpt"])
+        entries["param.video_in.W"] = np.full_like(entries["param.video_in.W"], np.nan)
+        bad = tmp_path / "forged.lavc"
+        _write_archive(bad, list(entries.items()))
+        code = main(["eval", "--ckpt", str(bad), "--data", str(cli_env["data"]),
+                     "--mode", "video", "--clips", "1", "--config", str(cli_env["cfg"])])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"{bad}:param.video_in.W" in err and "NaN or infinite" in err
 
 
 class TestProbeAndEval:

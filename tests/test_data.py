@@ -296,12 +296,12 @@ class TestBatching:
     def test_same_seed_epoch_identical(self, tiny_dataset):
         a = make_batches(tiny_dataset, "train", 8, seed=9, epoch=1)
         b = make_batches(tiny_dataset, "train", 8, seed=9, epoch=1)
-        assert [s.id for x in a for s in x.samples] == [s.id for x in b for s in x.samples]
+        assert [s.id for x in a for s in x] == [s.id for x in b for s in x]
 
     def test_different_epochs_differ(self, tiny_dataset):
         a = make_batches(tiny_dataset, "train", 8, seed=9, epoch=0)
         b = make_batches(tiny_dataset, "train", 8, seed=9, epoch=1)
-        assert [s.id for x in a for s in x.samples] != [s.id for x in b for s in x.samples]
+        assert [s.id for x in a for s in x] != [s.id for x in b for s in x]
 
     def test_batch_size_one_rejected(self, tiny_dataset):
         with pytest.raises(ConfigError):
@@ -309,7 +309,7 @@ class TestBatching:
 
     def test_covers_split_exactly_once(self, tiny_dataset):
         batches = make_batches(tiny_dataset, "train", 8, seed=9, epoch=0)
-        ids = [s.id for b in batches for s in b.samples]
+        ids = [s.id for b in batches for s in b]
         expected = [r.id for r in tiny_dataset.records_for("train")]
         assert sorted(ids) == sorted(expected)
         assert all(len(b) == 8 for b in batches[:-1])

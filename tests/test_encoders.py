@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trimodal import tensor as T
-from trimodal.data import Batch, BatchSample
+from trimodal.data import BatchSample
 from trimodal.encoders import EncoderStack, ModalityFeatures
 from trimodal.errors import AvailabilityError, ShapeError
 from trimodal.gradcheck import max_rel_err, tiny_training_setup
@@ -30,7 +30,7 @@ def make_batch(stack_seed=23, availability=((True, True), (False, True), (True, 
             text=s.integers(3, 9) if has_t else None,
         )
         samples.append(BatchSample(f"b{i}", i % 2, feats))
-    return Batch(samples)
+    return samples
 
 
 class TestSingleSampleEncoders:
@@ -73,7 +73,7 @@ class TestSingleSampleEncoders:
 
     def test_encoder_gradients_end_to_end(self):
         stack, batch = tiny_training_setup(5)
-        video = batch.samples[0].features.video
+        video = batch[0].features.video
         w = Tensor(Stream(6).uniform(4) + 0.5)
         leaves = [p for _, p in stack.parameters()]
         err = max_rel_err(leaves, lambda: T.dot(stack.encode_video(video), w))
@@ -171,7 +171,7 @@ class TestEmbedBatch:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ShapeError):
-            small_stack().embed_batch(Batch([]))
+            small_stack().embed_batch([])
 
     def test_gradients_reach_every_touched_parameter(self):
         stack, batch = tiny_training_setup(12)
@@ -195,7 +195,7 @@ class TestEmbedBatch:
         for _, p in stack.parameters():
             p.grad = None
 
-        reduced = Batch([batch.samples[0], batch.samples[2]])
+        reduced = [batch[0], batch[2]]
         term2 = loss_av(stack.embed_batch(reduced), LossConfig(tau=0.5))
         backward(term2.value)
         assert term.value.item() == term2.value.item()

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -10,16 +11,15 @@ from trimodal import config as cfg_mod
 from trimodal.checkpoint import _write_archive, load_checkpoint
 from trimodal import evaluate as evaluate_mod
 from trimodal.data import SyntheticConfig, generate_synthetic, sample_audio, sample_video
-from trimodal.encoders import ModalityFeatures
 from trimodal.errors import AvailabilityError, ConfigError, NumericError
-from trimodal.evaluate import (MODES, ProbeConfig, _ClipSource, embed_frozen, evaluate,
-                               evaluate_all_splits, fuse_embeddings, load_probe, save_probe,
-                               train_probe)
+from trimodal.evaluate import (MODES, TEST_SPLITS, ProbeConfig, ProbeHead, SplitResult,
+                               _ClipSource, _stored_blocks, embed_frozen, evaluate,
+                               evaluate_all_splits, load_probe, save_probe, train_probe)
 from trimodal.layers import Linear
 from trimodal.ltf import load_ltf
 from trimodal.optim import Adam
 from trimodal.rng import Stream
-from trimodal.tensor import Tensor, backward, cross_entropy_rows
+from trimodal.tensor import Tensor, backward, cross_entropy_rows, no_grad
 
 
 def fingerprint(stack) -> str:
@@ -74,7 +74,7 @@ class TestFreezing:
         head = train_probe(stack, man, "audio+video", ProbeConfig(epochs=1))
         evaluate(stack, head, man, "test1", clips_per_video=2)
         assert outputs and not any(z.requires_grad for z in outputs)
-        assert np.array_equal(embed_frozen(stack, [feats], "video")[0], recorded.data)
+        assert np.array_equal(embed_frozen(stack, [feats.video.data])[0], recorded.data)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_one_encoder_call_per_length_and_split(self, trained, monkeypatch, mode):
@@ -107,21 +107,16 @@ class TestFreezing:
         # that sample's own one-sample encoding, bit for bit
         _, _, stack = trained
         s = Stream(21, "mixed")
-        shapes = [(4, 3), (2, None), (4, 5), (1, 3), (2, 1), (4, None), (1, 5)]
-        samples = [ModalityFeatures(
-            video=Tensor(s.normal((t_v, stack.video_in.W.shape[0]))),
-            audio=None if t_a is None else Tensor(s.normal((t_a, stack.audio_mlp.l1.W.shape[0]))))
-            for t_v, t_a in shapes]
-        for mode in MODES:
-            rows = embed_frozen(stack, samples, mode)
-            assert len(rows) == len(samples)
-            for f, row in zip(samples, rows):
-                if mode == "audio+video" and not f.has_audio:
-                    assert row is None
-                    continue
-                expect = stack.encode_video(f.video).data
-                if mode == "audio+video":
-                    expect = np.concatenate([expect, stack.encode_audio(f.audio).data])
+        shapes = [(4, 3), (2, 2), (4, 5), (1, 3), (2, 1), (4, 4), (1, 5)]
+        video = [s.normal((t_v, stack.video_in.W.shape[0])) for t_v, _ in shapes]
+        audio = [s.normal((t_a, stack.audio_mlp.l1.W.shape[0])) for _, t_a in shapes]
+        for rows, with_audio in ((embed_frozen(stack, video), False),
+                                 (embed_frozen(stack, video, audio), True)):
+            assert rows.shape == (len(shapes), (1 + with_audio) * stack.d_model)
+            for r, row in enumerate(rows):
+                expect = stack.encode_video(Tensor(video[r])).data
+                if with_audio:
+                    expect = np.concatenate([expect, stack.encode_audio(Tensor(audio[r])).data])
                 assert row.tobytes() == expect.tobytes()
 
 
@@ -131,9 +126,9 @@ class TestProbeTraining:
         default = train_probe(stack, man, "video")
         documented = train_probe(stack, man, "video",
                                  cfg_mod.probe_config(cfg_mod.resolve_config()))
-        assert documented.linear.W.shape == default.linear.W.shape
-        assert np.array_equal(default.linear.W.data, documented.linear.W.data)
-        assert np.array_equal(default.linear.b.data, documented.linear.b.data)
+        assert documented.W.shape == default.W.shape
+        assert np.array_equal(default.W, documented.W)
+        assert np.array_equal(default.b, documented.b)
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("batch_size", [32, 7, 2, 64])
@@ -144,12 +139,10 @@ class TestProbeTraining:
         # has 39 videos, 29 with audio) and one minibatch per epoch (64)
         _, man, stack = trained
         cfg = ProbeConfig(epochs=4, batch_size=batch_size)
-        records = man.records_for("train")
-        embs = embed_frozen(stack, [man.load_features(r) for r in records], mode)
-        kept = [(e, r.label) for e, r in zip(embs, records) if e is not None]
-        assert len(kept) % batch_size  # the last minibatch is short
-        x = np.stack([e for e, _ in kept])
-        y = np.array([label for _, label in kept], dtype=np.int64)
+        records, video, audio = _stored_blocks(man, man.records_for("train"), mode)
+        assert len(records) % batch_size  # the last minibatch is short
+        x = embed_frozen(stack, video, audio)
+        y = np.array([r.label for r in records], dtype=np.int64)
         ref = Linear(x.shape[1], man.n_classes, cfg.seed, "probe")
         adam = Adam(ref.parameters())
         for epoch in range(cfg.epochs):
@@ -161,8 +154,8 @@ class TestProbeTraining:
                 backward(loss)
                 adam.step(cfg.lr)
         head = train_probe(stack, man, mode, cfg)
-        assert head.linear.W.data.tobytes() == ref.W.data.tobytes()
-        assert head.linear.b.data.tobytes() == ref.b.data.tobytes()
+        assert head.W.tobytes() == ref.W.data.tobytes()
+        assert head.b.tobytes() == ref.b.data.tobytes()
 
     @pytest.mark.parametrize("lr", [1e306, 1e308], ids=["loss-overflows", "logits-overflow"])
     def test_overflowing_fit_raises_numeric_error(self, trained, lr):
@@ -206,21 +199,23 @@ class TestProbeTraining:
 
 
 class TestFusion:
-    def test_dims_add_video_first(self):
-        z_v = Tensor([1.0, 2.0])
-        z_a = Tensor([3.0])
-        fused = fuse_embeddings(z_v, z_a)
-        assert fused.data.tolist() == [1.0, 2.0, 3.0]
+    def test_fused_rows_put_video_first(self, trained):
+        # each fused row is the sample's video embedding, then its audio one
+        _, man, stack = trained
+        _, video, audio = _stored_blocks(man, man.records_for("test1"), "audio+video")
+        fused, video_rows = embed_frozen(stack, video, audio), embed_frozen(stack, video)
+        d = stack.d_model
+        assert fused[:, :d].tobytes() == video_rows.tobytes()
+        with no_grad():
+            audio_rows = stack.encode_audio(Tensor(np.stack(audio))).data
+        assert fused[:, d:].tobytes() == audio_rows.tobytes()
 
-    def test_rows_fuse_per_sample(self):
-        fused = fuse_embeddings(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[5.0], [6.0]]))
-        assert fused.data.tolist() == [[1.0, 2.0, 5.0], [3.0, 4.0, 6.0]]
-        with pytest.raises(ConfigError):
-            fuse_embeddings(Tensor([[1.0, 2.0]]), Tensor([[5.0], [6.0]]))
-
-    def test_missing_audio_rejected(self):
-        with pytest.raises(AvailabilityError):
-            fuse_embeddings(Tensor([1.0]), None)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_row_width(self, trained, mode):
+        _, man, stack = trained
+        records, video, audio = _stored_blocks(man, man.records_for("train"), mode)
+        width = stack.d_model * (1 if mode == "video" else 2)
+        assert embed_frozen(stack, video, audio).shape == (len(records), width)
 
     def test_fused_probe_input_width(self, trained):
         cfg, man, stack = trained
@@ -277,26 +272,28 @@ class TestClips:
         # (record, clip), keyed (seed, "clip-<modality>", id, j)
         _, man, _ = trained
         fused = mode == "audio+video"
-        recs = [r for r in man.records_for("test1") + man.records_for("train")
-                if not fused or r.audio_path]
-        stored = [man.load_features(r) for r in recs]
-        clips = _ClipSource(man, need_audio=fused, seed=13).clips(recs, stored, 3)
+        recs, video, audio = _stored_blocks(
+            man, man.records_for("test1") + man.records_for("train"), mode)
+        clip_video, clip_audio = _ClipSource(man, need_audio=fused, seed=13).clips(
+            recs, video, audio, 3)
         synth = SyntheticConfig(**man.meta["config"])
         m_video = load_ltf(man.root / man.meta["templates"]["video"]).data
         m_audio = load_ltf(man.root / man.meta["templates"]["audio"]).data
-        assert len(clips) == 3 * len(recs)
-        for r, (rec, feats) in enumerate(zip(recs, stored)):
-            assert clips[3 * r] is feats
+        assert len(clip_video) == 3 * len(recs)
+        if fused:
+            assert len(clip_audio) == 3 * len(recs)
+        else:
+            assert clip_audio is None
+        for r, rec in enumerate(recs):
+            assert clip_video[3 * r] is video[r]
+            if fused:
+                assert clip_audio[3 * r] is audio[r]
             for j in (1, 2):
-                clip = clips[3 * r + j]
                 want = sample_video(synth, m_video[rec.label], (13, "clip-video", rec.id, j))
-                assert clip.video.data.tobytes() == want.tobytes()
+                assert clip_video[3 * r + j].tobytes() == want.tobytes()
                 if fused:
                     want = sample_audio(synth, m_audio[rec.label], (13, "clip-audio", rec.id, j))
-                    assert clip.audio.data.tobytes() == want.tobytes()
-                else:
-                    assert clip.audio is feats.audio
-                assert clip.text is feats.text
+                    assert clip_audio[3 * r + j].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("mode", MODES)
     def test_one_clip_draw_per_modality_and_split(self, trained, monkeypatch, mode):
@@ -316,6 +313,49 @@ class TestClips:
         head = train_probe(stack, man, "video", cfg_mod.probe_config(cfg))
         with pytest.raises(ConfigError):
             evaluate(stack, head, man, "test1", clips_per_video=0)
+
+
+def per_record_split(stack, head, man, split, clips, seed) -> SplitResult:
+    """The reference for `evaluate`'s one stacked product: each video's
+    `[J, d]` clip embeddings times W, plus b, averaged over its clips, then
+    hits and totals counted record by record."""
+    records = man.records_for(split)
+    scored, video, audio = _stored_blocks(man, records, head.mode)
+    if clips > 1:
+        video, audio = _ClipSource(man, need_audio=audio is not None, seed=seed).clips(
+            scored, video, audio, clips)
+    embs = embed_frozen(stack, video, audio)
+    hits, totals, correct = {}, {}, 0
+    for r, rec in enumerate(scored):
+        logits = (embs[r * clips:(r + 1) * clips] @ head.W + head.b).mean(axis=0)
+        totals[rec.label] = totals.get(rec.label, 0) + 1
+        if int(np.argmax(logits)) == rec.label:
+            correct += 1
+            hits[rec.label] = hits.get(rec.label, 0) + 1
+    return SplitResult(split=split, top1=correct / len(scored), n=len(scored),
+                       n_excluded=len(records) - len(scored),
+                       per_class={k: hits.get(k, 0) / t for k, t in sorted(totals.items())},
+                       class_counts={k: (hits.get(k, 0), t) for k, t in sorted(totals.items())})
+
+
+class TestScoring:
+    @pytest.mark.parametrize("clips", [1, 3])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_stacked_scoring_matches_per_record_loop(self, trained, mode, clips):
+        # a fitted head and a random one (which misses), on every split; the
+        # repr compares every field's value and type
+        cfg, man, stack = trained
+        fitted = train_probe(stack, man, mode, cfg_mod.probe_config(cfg))
+        s = Stream(8, "random-head", mode)
+        random = ProbeHead(s.normal(fitted.W.shape), s.normal(fitted.n_classes), mode)
+        top1 = []
+        for head in (fitted, random):
+            for split in ("train",) + TEST_SPLITS:
+                got = evaluate(stack, head, man, split, clips, seed=5)
+                assert repr(asdict(got)) == repr(asdict(
+                    per_record_split(stack, head, man, split, clips, seed=5)))
+                top1.append(got.top1)
+        assert any(0.0 < t < 1.0 for t in top1)
 
 
 class TestReports:
@@ -338,7 +378,7 @@ class TestReports:
         cfg, man, stack = trained
         head = train_probe(stack, man, "video", cfg_mod.probe_config(cfg))
         base = evaluate(stack, head, man, "test1", clips_per_video=1)
-        head.linear.b.data += 7.5  # same constant added to every class logit
+        head.b += 7.5  # same constant added to every class logit
         shifted = evaluate(stack, head, man, "test1", clips_per_video=1)
         assert base.top1 == shifted.top1 and base.per_class == shifted.per_class
 
@@ -350,8 +390,8 @@ class TestProbePersistence:
         save_probe(tmp_path / "head.lavc", head)
         back = load_probe(tmp_path / "head.lavc")
         assert back.mode == "video" and back.n_classes == head.n_classes
-        assert np.array_equal(back.linear.W.data, head.linear.W.data)
-        assert np.array_equal(back.linear.b.data, head.linear.b.data)
+        assert np.array_equal(back.W, head.W)
+        assert np.array_equal(back.b, head.b)
 
     @pytest.mark.parametrize("blob", [{"mode": "audio+video"},
                                       {"mode": "audio+video", "n_classes": 3}],
@@ -365,5 +405,5 @@ class TestProbePersistence:
                               ("config", np.frombuffer(json.dumps(blob).encode(), np.uint8))])
         head = load_probe(path)
         assert (head.mode, head.d_in, head.n_classes) == ("audio+video", 6, 3)
-        assert head.linear.W.data.tobytes() == W.tobytes()
-        assert head.linear.b.data.tobytes() == b.tobytes()
+        assert head.W.tobytes() == W.tobytes()
+        assert head.b.tobytes() == b.tobytes()

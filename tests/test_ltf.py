@@ -153,6 +153,7 @@ class TestArbitraryBytes:
     @settings(max_examples=150, deadline=None)
     @given(raw=st.one_of(st.binary(max_size=64), _forged(), _MUTATED))
     @example(raw=ltf_header([0, 2**62, 4]))  # empty payload, dims numpy cannot represent
+    @example(raw=ltf_header([2**64 - 1] * 255))  # a payload size of ~4,900 digits
     @example(raw=ltf_header([1]) + np.array([np.nan]).tobytes())
     @example(raw=ltf_header([2]) + np.array([1e308, 1e308]).tobytes())  # finite, sum overflows
     def test_loads_a_tensor_or_raises_format_error(self, path, raw):

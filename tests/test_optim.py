@@ -112,6 +112,26 @@ class TestAdam:
         assert adam.t == 1
         assert np.allclose(p.data - before, -0.01 * np.sign(p.grad), rtol=1e-4)
 
+    @pytest.mark.parametrize("errstate", [{}, {"over": "ignore"}], ids=["plain", "over-ignored"])
+    def test_grad_whose_square_overflows_aborts(self, errstate):
+        # an entry above sqrt(float max) (~1.34e154) would set v = inf and
+        # freeze its parameter for good; no parameter or state may move
+        n1, p1 = param((3,), 14, "a")
+        n2, p2 = param((2,), 15, "b")
+        adam = Adam([(n1, p1), (n2, p2)])
+        p1.grad, p2.grad = np.array([0.5, -0.25, 1.0]), np.array([2.0, -1.0])
+        adam.step(lr=0.01)
+
+        def state():
+            return ([p.data.tobytes() for p in (p1, p2)], adam.t,
+                    [adam.m[n].tobytes() + adam.v[n].tobytes() for n in (n1, n2)])
+
+        before = state()
+        p1.grad, p2.grad = np.array([0.5, -0.25, 1.0]), np.array([1e200, -1e200])
+        with np.errstate(**errstate), pytest.raises(NumericError, match=n2):
+            adam.step(lr=0.01)
+        assert state() == before
+
     def test_matches_scalar_loop_reference(self):
         """Vectorized update equals a literal per-element Adam over 100 steps."""
         name, p = param((5, 3), 7)

@@ -1,6 +1,8 @@
 """Training loop: determinism, checkpointing, resumption, abort handling."""
 
 import json
+import math
+import struct
 import weakref
 
 import numpy as np
@@ -17,6 +19,8 @@ from trimodal.checkpoint import _read_archive, _write_archive, load_checkpoint, 
 from trimodal.data import generate_synthetic
 from trimodal.encoders import EncoderStack
 from trimodal.errors import ConfigError, FormatError, NumericError, TrainingAborted
+from trimodal.evaluate import ProbeHead, load_probe, save_probe
+from trimodal.rng import Stream
 from trimodal.train import pretrain
 
 
@@ -205,6 +209,57 @@ class TestArbitraryStoredConfigs:
             return
         for name, p in ck.stack.parameters():
             assert p.data.tobytes() == entries[f"param.{name}"].tobytes(), name
+
+
+def _framing(raw: bytes) -> list[int]:
+    """Offsets of the bytes that frame an LAVC archive: its magic and count,
+    and each entry's name length, name and LTF header."""
+    offsets, at = list(range(8)), 8
+    for _ in range(struct.unpack_from("<I", raw, 4)[0]):
+        ltf_at = at + 2 + struct.unpack_from("<H", raw, at)[0]
+        code, rank = raw[ltf_at + 4], raw[ltf_at + 5]
+        end = ltf_at + 8 + 8 * rank
+        offsets.extend(range(at, end))
+        dims = struct.unpack_from(f"<{rank}Q", raw, ltf_at + 8)
+        at = end + math.prod(dims) * (1 if code else 8)  # uint8 or float64
+    return offsets
+
+
+# (framing byte?, position, xor mask) edits, then an optional truncation
+_EDITS = st.lists(st.tuples(st.booleans(), st.integers(0, 2**31), st.integers(1, 255)),
+                  max_size=4)
+_CUT = st.none() | st.integers(0, 2**31)
+
+
+class TestArbitraryArchiveBytes:
+    @pytest.fixture(scope="class")
+    def archives(self, tmp_path_factory, tiny_run):
+        root = tmp_path_factory.mktemp("archive-bytes")
+        s = Stream(2, "head")
+        save_probe(root / "head.lavc", ProbeHead(s.normal((6, 3)), s.normal(3), "video"))
+        out = {}
+        for which, path, load in (("checkpoint", tiny_run.checkpoint_path, load_checkpoint),
+                                  ("probe", root / "head.lavc", load_probe)):
+            raw = path.read_bytes()
+            out[which] = (root / f"edited-{which}.lavc", raw, _framing(raw), load)
+        return out
+
+    @settings(max_examples=300, deadline=None)
+    @given(which=st.sampled_from(["checkpoint", "probe"]), edits=_EDITS, cut=_CUT)
+    @example(which="checkpoint", edits=[(True, 10, 0x8F)], cut=None)  # name not UTF-8
+    @example(which="probe", edits=[(True, 8, 0x40)], cut=None)  # name longer than written
+    def test_loads_or_raises_format_error(self, archives, which, edits, cut):
+        path, raw, framing, load = archives[which]
+        data = bytearray(raw)
+        for framed, pos, mask in edits:
+            data[framing[pos % len(framing)] if framed else pos % len(data)] ^= mask
+        if cut is not None:
+            data = data[:cut % len(data)]
+        path.write_bytes(bytes(data))
+        try:
+            load(path)
+        except FormatError:
+            pass
 
 
 class TestResume:
