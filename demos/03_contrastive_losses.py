@@ -45,7 +45,7 @@ print("terms:", {k: round(v, 4) for k, v in lb.terms.items()},
 print("\n== masking equals physically removing the affected samples ==")
 from trimodal.losses import loss_av
 
-reduced = [s for s in batch if s.features.has_audio]
+reduced = [s for s in batch if s.audio is not None]
 full_val = loss_av(emb, LossConfig(tau=0.07)).value.item()
 sub_val = loss_av(stack.embed_batch(reduced), LossConfig(tau=0.07)).value.item()
 print("masked batch:", full_val, "| reduced batch:", sub_val,

@@ -24,14 +24,13 @@ print(f"{len(man.records)} samples, {n_audio} with audio+text "
 print("splits:", {s: len(man.records_for(s)) for s in ("train", "test1", "test2", "test3")})
 
 print("\n== every sample has video; audio and text ride one coin flip ==")
-rec = man.records[0]
-feats = man.load_features(rec)
-print(f"sample {rec.id}: class {rec.label}, video {feats.video.shape},",
-      f"audio {feats.audio.shape if feats.audio else None},",
-      f"text {feats.text.tolist() if feats.text is not None else None}")
+sample = man.samples("train")[0]
+print(f"sample {sample.id}: class {sample.label}, video {sample.video.shape},",
+      f"audio {sample.audio.shape if sample.audio is not None else None},",
+      f"text {sample.text.tolist() if sample.text is not None else None}")
 
 print("\n== class identity lives in the ORDER of position patterns ==")
-tpl = load_ltf(root / "templates_video.ltf").data
+tpl = load_ltf(root / "templates_video.ltf")
 print("template block: [classes, positions, features] =", tpl.shape)
 corr01 = np.corrcoef(tpl[0].ravel(), tpl[1].ravel())[0, 1]
 print(f"raw correlation between class 0 and 1 blocks: {corr01:+.3f}")
@@ -39,7 +38,7 @@ norms0 = np.sort(np.linalg.norm(tpl[0], axis=1))
 norms1 = np.sort(np.linalg.norm(tpl[1], axis=1))
 print("per-position pattern norms match across classes up to the faint "
       f"class bias: max diff {np.abs(norms0 - norms1).max():.4f} "
-      f"(bias scale {man.meta['config']['mean_signal_video']})")
+      f"(bias scale {man.config.mean_signal_video})")
 
 print("\n== batching is keyed on (seed, epoch) ==")
 b0 = make_batches(man, "train", 16, seed=3, epoch=0)
@@ -50,8 +49,8 @@ print("same epoch reproduces order:", order(b0) == order(b0_again))
 print("next epoch reshuffles:      ", order(b0) != order(b1))
 
 print("\n== audio augmentation adds seeded Gaussian noise ==")
-audio = next(man.load_features(r).audio for r in man.records if r.audio_path)
+audio = next(s.audio for s in man.samples("train") if s.audio is not None)
 noisy = augment_audio(audio, sigma=0.25, seed=99)
-print("noise std ~", float((noisy.data - audio.data).std()),
+print("noise std ~", float((noisy - audio).std()),
       "| sigma=0 returns the input object:",
       augment_audio(audio, 0.0, seed=99) is audio)

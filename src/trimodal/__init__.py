@@ -8,7 +8,7 @@ linear-probe evaluation protocol over synthetic datasets.
 
 from . import (checkpoint, config, data, encoders, evaluate, gradcheck, layers,
                losses, ltf, optim, rng, tensor, train)
-from .encoders import EncoderStack, EmbeddingSet, ModalityFeatures
+from .encoders import EncoderStack, EmbeddingSet
 from .errors import (AvailabilityError, ConfigError, DegenerateVectorError,
                      FormatError, GraphError, MaskError, NumericError,
                      ShapeError, TrainingAborted, TrimodalError)
@@ -16,8 +16,8 @@ from .tensor import Tensor, backward
 
 __all__ = [
     "AvailabilityError", "ConfigError", "DegenerateVectorError", "EncoderStack",
-    "EmbeddingSet", "FormatError", "GraphError", "MaskError", "ModalityFeatures",
-    "NumericError", "ShapeError", "Tensor", "TrainingAborted", "TrimodalError",
+    "EmbeddingSet", "FormatError", "GraphError", "MaskError", "NumericError",
+    "ShapeError", "Tensor", "TrainingAborted", "TrimodalError",
     "backward", "checkpoint", "config", "data", "encoders", "evaluate",
     "gradcheck", "layers", "losses", "ltf", "optim", "rng", "tensor", "train",
 ]

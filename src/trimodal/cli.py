@@ -60,7 +60,10 @@ def _cmd_pretrain(args) -> int:
     if args.checkpoint_every is not None:
         overrides["train"]["checkpoint_every"] = args.checkpoint_every
     overrides = {k: v for k, v in overrides.items() if v}
-    cfg = cfg_mod.resolve_config(args.config, overrides)
+    if args.resume is None:
+        cfg = cfg_mod.resolve_config(args.config, overrides)
+    else:
+        cfg = cfg_mod.resume_config(load_checkpoint(args.resume).config, args.config, overrides)
     result = pretrain(cfg, args.data, args.out, resume=args.resume)
     print(json.dumps({
         "checkpoint": str(result.checkpoint_path),
@@ -139,7 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--seed", type=int)
     t.add_argument("--checkpoint-every", type=int, dest="checkpoint_every",
                    help="write an intermediate checkpoint every N epochs")
-    t.add_argument("--resume", help="continue from an epoch-aligned checkpoint")
+    t.add_argument("--resume", help="continue from an epoch-aligned checkpoint, with the "
+                   "config stored in it (flags and --config may only repeat its values)")
     t.set_defaults(func=_cmd_pretrain)
 
     pr = sub.add_parser("probe", help="train a linear probe on a frozen checkpoint")

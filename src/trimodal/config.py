@@ -198,6 +198,25 @@ def resolve_config(path=None, overrides: dict | None = None) -> dict:
     return validate(_merge(doc, overrides or {}))
 
 
+def resume_config(stored: dict, path=None, overrides: dict | None = None) -> dict:
+    """`stored`, the resolved document of the checkpoint a run resumes from.
+    The config file at `path` and `overrides` may repeat its values; one that
+    differs raises ConfigError naming its dotted key."""
+    def check(given: dict, have: dict, prefix: str) -> None:
+        for key, value in given.items():
+            if isinstance(value, dict):
+                check(value, have[key], f"{prefix}{key}.")
+            elif value != have[key]:
+                raise ConfigError(f"{prefix}{key} is {value!r}, but the checkpoint being "
+                                  f"resumed stores {have[key]!r}; a resumed run keeps its "
+                                  "stored config")
+
+    doc = _merge(load_config_file(path) if path else {}, overrides or {})
+    validate(doc)
+    check(doc, stored, "")
+    return stored
+
+
 # Builders from a resolved document. They import their classes on call,
 # because those modules import this one for their defaults.
 

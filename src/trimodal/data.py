@@ -10,6 +10,13 @@ independently when `independent_availability` is set.
 
 Everything is keyed off named SplitMix64 streams, so regenerating with the
 same config is bitwise identical, file by file.
+
+This module is the only reader of a dataset's files. `load_manifest`
+checks the manifest and the `data` config that `meta.json` records
+(`FormatError` on either), and a `Manifest` hands out each sample as one
+`Sample` of plain arrays, read once and cached; batches and augmentation
+never modify them. `Manifest.clips` regenerates the extra evaluation clips
+from the templates `meta.json` names.
 """
 
 from __future__ import annotations
@@ -22,11 +29,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from .config import section
-from .encoders import ModalityFeatures
 from .errors import ConfigError, FormatError
 from .ltf import atomic_write, load_ltf, write_stream
 from .rng import Stream
-from .tensor import Tensor
 
 SPLITS = ("train", "test1", "test2", "test3")
 
@@ -49,21 +54,46 @@ class Record:
     text_path: str | None
 
 
-@dataclass
-class BatchSample:
+@dataclass(frozen=True)
+class Sample:
+    """One sample's raw inputs as plain arrays: video always, audio and text
+    optional. The encoders make the model's first tensors from them."""
+
     id: str
     label: int
-    features: ModalityFeatures
+    video: np.ndarray          # [T_v, d_video]
+    audio: np.ndarray | None   # [T_a, d_audio]
+    text: np.ndarray | None    # [L] int64 token ids
+
+
+def _block(path: Path) -> np.ndarray:
+    arr = load_ltf(path)
+    if arr.ndim != 2 or not arr.size:
+        raise FormatError(f"{path}: expected a non-empty [T, d] feature block, "
+                          f"got shape {arr.shape}")
+    return arr
+
+
+def _tokens(path: Path) -> np.ndarray:
+    ids = load_ltf(path)
+    if ids.ndim != 1 or not ids.size or not np.all(
+            (ids >= 0) & (ids < 2.0**53) & (ids == np.floor(ids))):
+        raise FormatError(f"{path}: expected a non-empty 1-D sequence of "
+                          "non-negative integral token ids")
+    return ids.astype(np.int64)
 
 
 class Manifest:
-    """Parsed manifest plus lazily cached per-sample features."""
+    """Parsed manifest, the `data` config its `meta.json` records (None
+    without one), and lazily cached samples."""
 
-    def __init__(self, root: Path, records: list[Record], meta: dict | None):
+    def __init__(self, root: Path, records: list[Record], meta: dict | None,
+                 config: SyntheticConfig | None):
         self.root = Path(root)
         self.records = records
         self.meta = meta
-        self._cache: dict[str, ModalityFeatures] = {}
+        self.config = config
+        self._cache: dict[str, Sample] = {}
 
     def records_for(self, split: str) -> list[Record]:
         if split not in SPLITS:
@@ -72,25 +102,61 @@ class Manifest:
 
     @property
     def n_classes(self) -> int:
-        if self.meta and "config" in self.meta:
-            return int(self.meta["config"]["n_classes"])
+        if self.config is not None:
+            return self.config.n_classes
         return max(r.label for r in self.records) + 1
 
-    def load_features(self, rec: Record) -> ModalityFeatures:
-        cached = self._cache.get(rec.id)
-        if cached is not None:
-            return cached
-        video = load_ltf(self.root / rec.video_path)
-        audio = load_ltf(self.root / rec.audio_path) if rec.audio_path else None
-        text = None
-        if rec.text_path:
-            ids = load_ltf(self.root / rec.text_path).data
-            text = ids.astype(np.int64)
-            if not np.array_equal(text.astype(np.float64), ids):
-                raise FormatError(f"{rec.text_path}: non-integral token ids")
-        feats = ModalityFeatures(video=video, audio=audio, text=text)
-        self._cache[rec.id] = feats
-        return feats
+    def samples(self, split: str) -> list[Sample]:
+        """The split's samples in manifest order; each is read from its
+        files once and then served from the cache."""
+        out = []
+        for rec in self.records_for(split):
+            sample = self._cache.get(rec.id)
+            if sample is None:
+                sample = self._cache[rec.id] = Sample(
+                    rec.id, rec.label, _block(self.root / rec.video_path),
+                    _block(self.root / rec.audio_path) if rec.audio_path else None,
+                    _tokens(self.root / rec.text_path) if rec.text_path else None)
+            out.append(sample)
+        return out
+
+    def _templates(self, modality: str) -> np.ndarray:
+        where = self.root / "meta.json"
+        names = self.meta.get("templates") if self.meta else None
+        if names is None or self.config is None:
+            raise FormatError(f"{where}: multi-clip evaluation needs the class templates and "
+                              "the config that drew them (or clips_per_video=1)")
+        name = names.get(modality) if isinstance(names, dict) else None
+        if not isinstance(name, str):
+            raise FormatError(f"{where}: templates.{modality} must name a tensor file")
+        cfg = self.config
+        shape = (cfg.n_classes, getattr(cfg, f"t_{modality}"), getattr(cfg, f"d_{modality}"))
+        arr = load_ltf(self.root / name)
+        if arr.shape != shape:
+            raise FormatError(f"{where}: {modality} templates have shape {arr.shape}, "
+                              f"the config needs {shape}")
+        return arr
+
+    def clips(self, samples: list[Sample], n_clips: int, seed: int, audio: bool):
+        """Clips 0..n_clips-1 of every sample, sample by sample, as a list of
+        video blocks and a list of audio blocks (None unless `audio`).
+
+        Clip 0 is the sample's stored block. Clip j > 0 is a fresh draw
+        around the sample's class template (the synthetic stand-in for
+        another temporal crop) from the stream `(seed, "clip-video", id, j)`
+        (and `"clip-audio"`); all the samples' clips come from one family
+        draw per modality."""
+        out = []
+        modalities = (("video", sample_video), ("audio", sample_audio))
+        for modality, draw in modalities[:2 if audio else 1]:
+            clips = [getattr(s, modality) for s in samples]
+            if n_clips > 1:
+                template = self._templates(modality)[[s.label for s in samples]][:, None]
+                drawn = draw(self.config, template, (seed, f"clip-{modality}",
+                                                     [s.id for s in samples], range(1, n_clips)))
+                clips = [clip for block, more in zip(clips, drawn) for clip in (block, *more)]
+            out.append(clips)
+        return out[0], out[1] if audio else None
 
 
 def _class_templates(cfg: SyntheticConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -279,19 +345,23 @@ def _parse_record(obj, where: str, root: Path) -> Record:
     return rec
 
 
-def _load_meta(path: Path) -> dict:
+def _load_meta(path: Path) -> tuple[dict, SyntheticConfig | None]:
+    """`meta.json` and the `data` config it records, checked against the
+    schema: a dataset file that the schema rejects is a `FormatError`."""
     try:
         meta = json.loads(path.read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError(f"{path}: not a JSON document ({e})") from e
     if not isinstance(meta, dict):
         raise FormatError(f"{path}: expected a JSON object")
-    if "config" in meta:
-        config = meta["config"]
-        n_classes = config.get("n_classes") if isinstance(config, dict) else None
-        if type(n_classes) is not int or n_classes < 1:
-            raise FormatError(f"{path}: config.n_classes must be a positive int")
-    return meta
+    if "config" not in meta:
+        return meta, None
+    if not isinstance(meta["config"], dict):
+        raise FormatError(f"{path}: config must be an object")
+    try:
+        return meta, SyntheticConfig(**meta["config"])
+    except ConfigError as e:
+        raise FormatError(f"{path}: invalid config entry ({e})") from e
 
 
 def load_manifest(path) -> Manifest:
@@ -328,8 +398,8 @@ def load_manifest(path) -> Manifest:
     if not records:
         raise FormatError(f"{manifest_path}: empty manifest")
     meta_path = root / "meta.json"
-    meta = _load_meta(meta_path) if meta_path.exists() else None
-    man = Manifest(root, records, meta)
+    meta, config = _load_meta(meta_path) if meta_path.exists() else (None, None)
+    man = Manifest(root, records, meta, config)
     n_classes = man.n_classes
     for rec in records:
         if rec.label >= n_classes:
@@ -338,25 +408,23 @@ def load_manifest(path) -> Manifest:
 
 
 def make_batches(manifest: Manifest, split: str, batch_size: int, seed: int,
-                 epoch: int) -> list[list[BatchSample]]:
+                 epoch: int) -> list[list[Sample]]:
     """Shuffle a split with a stream keyed on (seed, epoch) and chunk it into
-    batches, each a list of samples."""
+    batches, each a list of the manifest's cached samples."""
     if batch_size < 2:
         raise ConfigError("batch_size must be >= 2 (contrastive losses need negatives)")
-    recs = manifest.records_for(split)
-    if not recs:
+    samples = manifest.samples(split)
+    if not samples:
         raise ConfigError(f"split {split!r} is empty")
-    order = Stream(seed, "batches", epoch).permutation(len(recs))
-    samples = [BatchSample(recs[i].id, recs[i].label, manifest.load_features(recs[i]))
-               for i in order]
-    return [samples[start:start + batch_size] for start in range(0, len(samples), batch_size)]
+    order = Stream(seed, "batches", epoch).permutation(len(samples))
+    shuffled = [samples[i] for i in order]
+    return [shuffled[start:start + batch_size] for start in range(0, len(shuffled), batch_size)]
 
 
-def augment_audio(spectrogram: Tensor, sigma: float, seed: int) -> Tensor:
+def augment_audio(spectrogram: np.ndarray, sigma: float, seed: int) -> np.ndarray:
     """Add seeded elementwise Gaussian noise; sigma = 0 is the identity."""
     if sigma < 0:
         raise ConfigError("sigma must be >= 0")
     if sigma == 0:
         return spectrogram
-    noise = Stream(seed, "augment").normal(spectrogram.shape, sigma=sigma)
-    return Tensor(spectrogram.data + noise)
+    return spectrogram + Stream(seed, "augment").normal(spectrogram.shape, sigma=sigma)

@@ -5,13 +5,16 @@ single linear head per latent space (audio-video, video-text, and the joint
 tri-modal space) projects encoder outputs, followed by L2 normalization so
 similarities stay in [-1, 1] before temperature scaling.
 
-`encode_video` and `encode_audio` take one `[T, d_raw]` sequence or a
-`[B, T, d_raw]` stack of equal-length sequences, and return `[d_model]` or
-`[B, d_model]`; a stacked row is bitwise the row of its own one-sample call.
-Frozen-encoder evaluation (`evaluate.embed_frozen`) takes raw arrays and
-calls them on such stacks.
+Raw inputs arrive as plain numpy arrays, and the encoders make the model's
+first tensors from them: `encode_video` and `encode_audio` take one
+`[T, d_raw]` sequence or a `[B, T, d_raw]` stack of equal-length sequences
+and return `[d_model]` or `[B, d_model]`, and `encode_text` takes one id
+sequence. A stacked row is bitwise the row of its own one-sample call.
+Frozen-encoder evaluation (`evaluate.embed_frozen`) calls them on such
+stacks. `check_inputs` turns a sample the stack was not sized for into a
+`ConfigError` naming the sample and the config key, before any forward.
 
-`embed_batch` takes a batch as a plain list of `data.BatchSample`. Batch
+`embed_batch` takes a batch as a plain list of `data.Sample`. Batch
 embedding is strictly per-sample: a sample's embeddings and projections
 never depend on which other samples share the batch, which is what makes
 masked losses bitwise equal to their physically reduced sub-batch versions.
@@ -27,28 +30,11 @@ import numpy as np
 
 from . import tensor as T
 from .config import section
-from .errors import AvailabilityError, ShapeError
+from .errors import AvailabilityError, ConfigError, ShapeError
 from .layers import MLP, EmbeddingTable, Linear, TransformerEncoder, mean_pool
 from .tensor import Tensor
 
 SPACES = {"av": ("a", "v"), "vt": ("v", "t"), "avt": ("a", "v", "t")}
-
-
-@dataclass
-class ModalityFeatures:
-    """One sample's raw inputs: video frames always, audio/text optional."""
-
-    video: Tensor                      # [T_v, d_video_raw]
-    audio: Tensor | None = None        # [T_a, d_audio_raw]
-    text: np.ndarray | None = None     # [L] int token ids
-
-    @property
-    def has_audio(self) -> bool:
-        return self.audio is not None
-
-    @property
-    def has_text(self) -> bool:
-        return self.text is not None
 
 
 @dataclass
@@ -108,13 +94,13 @@ class EncoderStack:
 
     # -- encoders: one [T, d_raw] sample, or a [B, T, d_raw] stack ----------
 
-    def encode_video(self, video: Tensor) -> Tensor:
-        return mean_pool(self.f_v.forward(self.video_in.forward(video)))
+    def encode_video(self, video: np.ndarray) -> Tensor:
+        return mean_pool(self.f_v.forward(self.video_in.forward(Tensor(video))))
 
-    def encode_audio(self, audio: Tensor | None) -> Tensor:
+    def encode_audio(self, audio: np.ndarray | None) -> Tensor:
         if audio is None:
             raise AvailabilityError("encode_audio called on a sample without audio")
-        return mean_pool(self.f_a.forward(self.audio_mlp.forward(audio)))
+        return mean_pool(self.f_a.forward(self.audio_mlp.forward(Tensor(audio))))
 
     def encode_text(self, token_ids) -> Tensor:
         ids = np.asarray(token_ids, dtype=np.int64)
@@ -141,11 +127,31 @@ class EncoderStack:
             out.extend(self.heads[space].parameters())
         return out
 
+    def check_inputs(self, samples, modalities: str = "vat") -> None:
+        """Raise `ConfigError` for the first of `samples` whose raw inputs in
+        `modalities` ("v", "a", "t") this stack cannot encode, naming the
+        sample and the config key that sized the stack."""
+        d_video, d_audio = self.video_in.W.shape[0], self.audio_mlp.l1.W.shape[0]
+        for s in samples:
+            if "v" in modalities and s.video.shape[1] != d_video:
+                raise ConfigError(f"sample {s.id!r}: video frames have {s.video.shape[1]} "
+                                  f"features, the model's data.d_video is {d_video}")
+            if "a" in modalities and s.audio is not None and s.audio.shape[1] != d_audio:
+                raise ConfigError(f"sample {s.id!r}: audio frames have {s.audio.shape[1]} "
+                                  f"features, the model's data.d_audio is {d_audio}")
+            if "t" in modalities and s.text is not None:
+                if s.text.size > self.max_text_len:
+                    raise ConfigError(f"sample {s.id!r}: text has {s.text.size} tokens, more "
+                                      f"than the model's model.max_text_len {self.max_text_len}")
+                if s.text.max() >= self.text_embed.vocab:
+                    raise ConfigError(f"sample {s.id!r}: token id {s.text.max()} is outside "
+                                      f"the model's data.vocab {self.text_embed.vocab}")
+
     # -- batch embedding ---------------------------------------------------
 
     def embed_batch(self, samples, spaces: tuple[str, ...] = ("av", "vt", "avt")) -> EmbeddingSet:
         """Encode and project every sample of a batch, a list of
-        `data.BatchSample`.
+        `data.Sample`.
 
         `spaces` restricts the computed projections (and the encoders they
         need) when some loss terms are disabled; the default covers all.
@@ -156,19 +162,19 @@ class EncoderStack:
             if space not in SPACES:
                 raise ShapeError(f"unknown latent space {space!r}")
         needed = {"v"} | {m for space in spaces for m in SPACES[space]}
-        avail_a = np.array([s.features.has_audio for s in samples], dtype=bool)
-        avail_t = np.array([s.features.has_text for s in samples], dtype=bool)
+        avail_a = np.array([s.audio is not None for s in samples], dtype=bool)
+        avail_t = np.array([s.text is not None for s in samples], dtype=bool)
 
         zero_proj = Tensor(np.zeros(self.d_proj))
         proj_rows: dict[tuple[str, str], list[Tensor]] = {
             (space, m): [] for space in spaces for m in SPACES[space]
         }
         for s in samples:
-            z = {"v": self.encode_video(s.features.video), "a": None, "t": None}
-            if "a" in needed and s.features.has_audio:
-                z["a"] = self.encode_audio(s.features.audio)
-            if "t" in needed and s.features.has_text:
-                z["t"] = self.encode_text(s.features.text)
+            z = {"v": self.encode_video(s.video), "a": None, "t": None}
+            if "a" in needed and s.audio is not None:
+                z["a"] = self.encode_audio(s.audio)
+            if "t" in needed and s.text is not None:
+                z["t"] = self.encode_text(s.text)
             for space in spaces:
                 for m in SPACES[space]:
                     if z[m] is None:

@@ -3,10 +3,11 @@
 A probe head is its weight `W` (`[d_in, C]`), bias `b` and mode: it reads
 video-only embeddings, or video and audio embeddings concatenated
 video-first, and is trained with cross-entropy. The encoders never receive
-gradients; their parameters are bitwise untouched. `embed_frozen` maps
-raw blocks (arrays) to one `[n, d]` array without a graph, in one encoder
-call per modality and sequence length for a whole split (every clip of
-every video at once). The head is fitted on plain arrays with the
+gradients; their parameters are bitwise untouched. The samples come from
+`data.Manifest`, and each is checked against the stack first. `embed_frozen`
+maps their raw blocks (arrays) to one `[n, d]` array without a graph, in
+one encoder call per modality and sequence length for a whole split (every
+clip of every video at once). The head is fitted on plain arrays with the
 arithmetic of `Linear.forward` and `cross_entropy_rows` (shared through
 `softmax_nll_rows`) and their backward, then the package's `Adam`: bitwise
 the graph-built fit of `Linear(d_in, C, seed, "probe")`. Weight over bias
@@ -15,13 +16,11 @@ buffer; each epoch gathers the embeddings in its order once, and its
 minibatches are row-slice views of that gather; every epoch's order comes
 from one stream-family permutation.
 
-Test-set accuracy averages logits over several clips per video. Clip 0 is
-the stored feature block; further clips are fresh noise draws around the
-sample's class template, read from the dataset's meta record (the synthetic
-stand-in for sampling extra temporal crops). A split's extra clips come
-from one stream-family draw per modality, bitwise the per-clip streams, and
-the split is scored in one stacked product, `[n, J, d] @ W + b` averaged
-over its J clips.
+Test-set accuracy averages logits over several clips per video, which
+`Manifest.clips` supplies: clip 0 is the stored feature block, and further
+clips are fresh draws around the sample's class template. The split is
+scored in one stacked product, `[n, J, d] @ W + b` averaged over its J
+clips.
 """
 
 from __future__ import annotations
@@ -33,11 +32,10 @@ import numpy as np
 
 from . import checkpoint as ckpt_mod
 from .config import DEFAULTS, section
-from .data import Manifest, Record, SyntheticConfig, sample_audio, sample_video
-from .encoders import EncoderStack, ModalityFeatures
+from .data import Manifest, Sample
+from .encoders import EncoderStack
 from .errors import AvailabilityError, ConfigError, FormatError
 from .layers import _uniform_init
-from .ltf import load_ltf
 from .optim import Adam
 from .rng import Stream
 from .tensor import Tensor, _ensure_finite, no_grad, softmax_nll_rows
@@ -121,24 +119,20 @@ def _encode_by_length(encode, seqs: list[np.ndarray]) -> np.ndarray:
         groups.setdefault(seq.shape[0], []).append(i)
     rows = None
     for idx in groups.values():
-        z = encode(Tensor(np.stack([seqs[i] for i in idx]))).data
+        z = encode(np.stack([seqs[i] for i in idx])).data
         if rows is None:
             rows = np.empty((len(seqs), z.shape[1]))
         rows[idx] = z
     return rows
 
 
-def _embeddable(feats: ModalityFeatures, mode: str) -> bool:
-    return mode == "video" or feats.has_audio
-
-
-def _stored_blocks(manifest: Manifest, records: list[Record], mode: str):
-    """The records whose samples `mode` can embed, their stored video blocks
-    and, for the fused probe, their audio blocks (None for the video probe)."""
-    feats = [(rec, manifest.load_features(rec)) for rec in records]
-    kept = [(rec, f) for rec, f in feats if _embeddable(f, mode)]
-    audio = None if mode == "video" else [f.audio.data for _, f in kept]
-    return [rec for rec, _ in kept], [f.video.data for _, f in kept], audio
+def _usable(stack: EncoderStack, samples: list[Sample], mode: str) -> list[Sample]:
+    """The samples that `mode` can embed (the fused probe needs audio), each
+    checked against the stack."""
+    if mode == "audio+video":
+        samples = [s for s in samples if s.audio is not None]
+    stack.check_inputs(samples, "v" if mode == "video" else "va")
+    return samples
 
 
 def embed_frozen(stack: EncoderStack, video: list[np.ndarray],
@@ -154,63 +148,6 @@ def embed_frozen(stack: EncoderStack, video: list[np.ndarray],
         return np.concatenate([z, _encode_by_length(stack.encode_audio, audio)], axis=1)
 
 
-class _ClipSource:
-    """Regenerates extra clips from the dataset's class templates.
-
-    `meta.json` is a dataset file, so whatever in it does not describe the
-    templates the clips need raises `FormatError`."""
-
-    def __init__(self, manifest: Manifest, need_audio: bool, seed: int):
-        self.manifest = manifest
-        self.seed = seed
-        meta = manifest.meta
-        if meta is None or "templates" not in meta:
-            raise FormatError("dataset has no meta.json with templates; "
-                              "multi-clip evaluation needs clips_per_video=1")
-        where = manifest.root / "meta.json"
-        if "config" not in meta:
-            raise FormatError(f"{where}: templates without the config that drew them")
-        try:
-            self.cfg = SyntheticConfig(**meta["config"])
-        except ConfigError as e:
-            raise FormatError(f"{where}: invalid config entry ({e})") from e
-        t = meta["templates"]
-        self.m_video = self._template(where, t, "video", (self.cfg.t_video, self.cfg.d_video))
-        self.m_audio = (self._template(where, t, "audio", (self.cfg.t_audio, self.cfg.d_audio))
-                        if need_audio else None)
-
-    def _template(self, where, templates, modality: str, block: tuple[int, int]) -> np.ndarray:
-        name = templates.get(modality) if isinstance(templates, dict) else None
-        if not isinstance(name, str):
-            raise FormatError(f"{where}: templates.{modality} must name a tensor file")
-        arr = load_ltf(self.manifest.root / name).data
-        if arr.shape != (self.cfg.n_classes, *block):
-            raise FormatError(f"{where}: {modality} templates have shape {arr.shape}, "
-                              f"the config needs {(self.cfg.n_classes, *block)}")
-        return arr
-
-    def clips(self, records: list[Record], video: list[np.ndarray],
-              audio: list[np.ndarray] | None, n_clips: int):
-        """Clips 0..n_clips-1 of every record, record by record, as a list of
-        video blocks and a list of audio blocks (None without `audio`). Clip
-        0 is the record's stored block; clip j > 0 is drawn from the stream
-        `(seed, "clip-video", id, j)` (and `"clip-audio"`), and a whole
-        split's clips come from one family draw per modality."""
-        labels = [rec.label for rec in records]
-        key = ([rec.id for rec in records], range(1, n_clips))
-        video = _after_stored(video, sample_video(self.cfg, self.m_video[labels][:, None],
-                                                  (self.seed, "clip-video", *key)))
-        if audio is not None:
-            audio = _after_stored(audio, sample_audio(self.cfg, self.m_audio[labels][:, None],
-                                                      (self.seed, "clip-audio", *key)))
-        return video, audio
-
-
-def _after_stored(stored: list[np.ndarray], drawn: np.ndarray) -> list[np.ndarray]:
-    """Each record's stored block followed by its drawn clips `drawn[r]`."""
-    return [clip for block, more in zip(stored, drawn) for clip in (block, *more)]
-
-
 def train_probe(stack: EncoderStack, manifest: Manifest, mode: str,
                 probe_cfg: ProbeConfig | None = None) -> ProbeHead:
     """Fit a linear head on frozen train-split embeddings."""
@@ -218,13 +155,14 @@ def train_probe(stack: EncoderStack, manifest: Manifest, mode: str,
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     probe_cfg = probe_cfg or ProbeConfig()
     # the fusion probe trains only where audio exists
-    records, video, audio = _stored_blocks(manifest, manifest.records_for("train"), mode)
-    if not records:
+    samples = _usable(stack, manifest.samples("train"), mode)
+    if not samples:
         raise AvailabilityError(
             "no usable training samples for this probe mode (audio+video requires "
             "at least one training sample with audio)")
-    x = embed_frozen(stack, video, audio)
-    y = np.array([rec.label for rec in records], dtype=np.int64)
+    x = embed_frozen(stack, [s.video for s in samples],
+                     None if mode == "video" else [s.audio for s in samples])
+    y = np.array([s.label for s in samples], dtype=np.int64)
 
     d, c = x.shape[1], manifest.n_classes
     # One Adam parameter J = [W; b], initialised as `Linear(d, c, seed,
@@ -266,27 +204,23 @@ def evaluate(stack: EncoderStack, head: ProbeHead, manifest: Manifest, split: st
     """Top-1 accuracy on one split, averaging logits over clips per video."""
     if clips_per_video < 1:
         raise ConfigError("clips_per_video must be >= 1")
-    records = manifest.records_for(split)
-    if not records:
+    samples = manifest.samples(split)
+    if not samples:
         raise ConfigError(f"split {split!r} is empty")
-    source = None
-    if clips_per_video > 1:
-        source = _ClipSource(manifest, need_audio=(head.mode == "audio+video"), seed=seed)
-    scored, video, audio = _stored_blocks(manifest, records, head.mode)
+    scored = _usable(stack, samples, head.mode)
     if not scored:
         raise AvailabilityError(f"split {split!r} has no scorable videos in mode {head.mode!r}")
-    if source is not None:
-        video, audio = source.clips(scored, video, audio, clips_per_video)
+    video, audio = manifest.clips(scored, clips_per_video, seed, head.mode == "audio+video")
     z = embed_frozen(stack, video, audio).reshape(len(scored), clips_per_video, -1)
     # [n, J, d] @ W as a stack of [J, d] products (never flattened to
     # [n*J, d]), so each video's logits are bitwise its own product's
     pred = (np.matmul(z, head.W) + head.b).mean(axis=1).argmax(axis=1)
-    labels = np.array([rec.label for rec in scored])
+    labels = np.array([s.label for s in scored])
     totals = np.bincount(labels)
     hits = np.bincount(labels[pred == labels], minlength=totals.size)
     counts = {k: (h, t) for k, (h, t) in enumerate(zip(hits.tolist(), totals.tolist())) if t}
     return SplitResult(split=split, top1=sum(h for h, _ in counts.values()) / len(scored),
-                       n=len(scored), n_excluded=len(records) - len(scored),
+                       n=len(scored), n_excluded=len(samples) - len(scored),
                        per_class={k: h / t for k, (h, t) in counts.items()},
                        class_counts=counts)
 

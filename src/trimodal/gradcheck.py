@@ -25,8 +25,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import tensor as T
-from .data import BatchSample
-from .encoders import EncoderStack, ModalityFeatures
+from .data import Sample
+from .encoders import EncoderStack
 from .losses import LossConfig, compute_centroids, loss_total
 from .rng import Stream
 from .tensor import Tensor, backward
@@ -259,10 +259,10 @@ def tiny_training_setup(seed: int):
     s = Stream(seed, "batch")
     samples = []
     for i in range(3):
-        video = Tensor(s.normal((2, 3)))
-        audio = Tensor(s.normal((2, 3))) if i != 1 else None       # sample 1: no audio
-        text = s.integers(2, 6) if i != 2 else None                # sample 2: no text
-        samples.append(BatchSample(f"g{i}", i % 2, ModalityFeatures(video, audio, text)))
+        video = s.normal((2, 3))
+        audio = s.normal((2, 3)) if i != 1 else None       # sample 1: no audio
+        text = s.integers(2, 6) if i != 2 else None        # sample 2: no text
+        samples.append(Sample(f"g{i}", i % 2, video, audio, text))
     return stack, samples
 
 

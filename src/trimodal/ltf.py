@@ -31,7 +31,7 @@ from typing import BinaryIO, Iterator
 import numpy as np
 
 from .errors import FormatError
-from .tensor import Tensor, all_finite
+from .tensor import all_finite
 
 MAGIC = b"LTF1"
 DTYPE_F64 = 0
@@ -112,14 +112,13 @@ def read_stream(f: BinaryIO, path: str = "<stream>") -> np.ndarray:
     return arr
 
 
-def save_ltf(path, value: Tensor | np.ndarray) -> None:
-    arr = value.data if isinstance(value, Tensor) else np.asarray(value)
+def save_ltf(path, arr: np.ndarray) -> None:
     with atomic_write(path) as f:
         write_stream(f, arr)
 
 
-def load_ltf(path) -> Tensor:
-    """Read a float64 LTF file into a Tensor (exact round-trip of save_ltf)."""
+def load_ltf(path) -> np.ndarray:
+    """Read a float64 LTF file into an array (exact round-trip of save_ltf)."""
     with open(path, "rb") as f:
         arr = read_stream(f, str(path))
         extra = f.read(1)
@@ -127,4 +126,4 @@ def load_ltf(path) -> Tensor:
         raise FormatError(f"{path}: trailing bytes after payload")
     if arr.dtype != np.float64:
         raise FormatError(f"{path}: expected float64 payload")
-    return Tensor(arr)
+    return arr

@@ -11,13 +11,12 @@ from __future__ import annotations
 import json
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import config as cfg_mod
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import BatchSample, augment_audio, load_manifest, make_batches
-from .encoders import ModalityFeatures
+from .data import Sample, augment_audio, load_manifest, make_batches
 from .errors import ConfigError, NumericError, TrainingAborted
 from .losses import compute_centroids, loss_total
 from .optim import CosineSchedule
@@ -31,25 +30,17 @@ class TrainResult:
     log_path: Path
     steps: int
     epochs_done: int
-    final_loss: float
+    final_loss: float | None  # None when no step ran
     epoch_checkpoints: dict[int, Path] = field(default_factory=dict)
 
 
-def _augmented(batch: list[BatchSample], sigma: float, seed: int, epoch: int,
-               batch_idx: int) -> list[BatchSample]:
+def _augmented(batch: list[Sample], sigma: float, seed: int, epoch: int,
+               batch_idx: int) -> list[Sample]:
     if sigma <= 0:
         return batch
-    parent = Stream(seed, "augseed", epoch, batch_idx)
-    child_seeds = parent.u64(len(batch))
-    out = []
-    for slot, s in enumerate(batch):
-        if s.features.has_audio:
-            noisy = augment_audio(s.features.audio, sigma, int(child_seeds[slot]))
-            out.append(BatchSample(s.id, s.label, ModalityFeatures(
-                video=s.features.video, audio=noisy, text=s.features.text)))
-        else:
-            out.append(s)
-    return out
+    child_seeds = Stream(seed, "augseed", epoch, batch_idx).u64(len(batch))
+    return [s if s.audio is None else replace(s, audio=augment_audio(s.audio, sigma, int(c)))
+            for s, c in zip(batch, child_seeds)]
 
 
 def pretrain(cfg: dict, data_dir, out_path, log_path=None, resume=None) -> TrainResult:
@@ -84,6 +75,7 @@ def pretrain(cfg: dict, data_dir, out_path, log_path=None, resume=None) -> Train
     sigma_aug = cfg["train"]["augment_sigma_audio"]
     checkpoint_every = cfg["train"]["checkpoint_every"]
     loss_cfg = cfg_mod.loss_config(cfg)
+    stack.check_inputs(manifest.samples("train"))
     use_centroids = "avt" in loss_cfg.enabled_terms
 
     n_train = len(manifest.records_for("train"))
@@ -93,7 +85,7 @@ def pretrain(cfg: dict, data_dir, out_path, log_path=None, resume=None) -> Train
                               warmup_steps=cfg["optim"]["warmup_steps"])
 
     epoch_ckpts: dict[int, Path] = {}
-    final_loss = float("nan")
+    final_loss = None
     with open(log_path, log_mode) as log:
         for epoch in range(start_epoch, epochs):
             batches = make_batches(manifest, "train", batch_size, seed, epoch)

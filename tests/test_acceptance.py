@@ -20,8 +20,8 @@ import pytest
 from conftest import ACCEPTANCE_LINES, TINY_OVERRIDES
 from trimodal import config as cfg_mod
 from trimodal.checkpoint import load_checkpoint, save_checkpoint
-from trimodal.data import BatchSample, generate_synthetic, load_manifest
-from trimodal.encoders import EncoderStack, ModalityFeatures
+from trimodal.data import Sample, generate_synthetic, load_manifest
+from trimodal.encoders import EncoderStack
 from trimodal.evaluate import evaluate_all_splits, train_probe
 from trimodal.gradcheck import run_all
 from trimodal.layers import Linear
@@ -155,10 +155,9 @@ class TestCriterion3MaskingEquivalence:
             for i in range(5):
                 has_a = s.uniform() < 0.6
                 has_t = s.uniform() < 0.6
-                samples.append(BatchSample(f"m{i}", i % 3, ModalityFeatures(
-                    video=Tensor(s.normal((3, 4))),
-                    audio=Tensor(s.normal((2, 3))) if has_a else None,
-                    text=s.integers(2, 8) if has_t else None)))
+                samples.append(Sample(f"m{i}", i % 3, video=s.normal((3, 4)),
+                                      audio=s.normal((2, 3)) if has_a else None,
+                                      text=s.integers(2, 8) if has_t else None))
             emb = stack.embed_batch(samples)
             cents = compute_centroids(emb)
 
@@ -170,10 +169,10 @@ class TestCriterion3MaskingEquivalence:
                 return loss_avt(emb_, cents_ or compute_centroids(emb_), cfg).value.item()
 
             keep = {
-                "av": [x for x in samples if x.features.has_audio],
-                "vt": [x for x in samples if x.features.has_text],
+                "av": [x for x in samples if x.audio is not None],
+                "vt": [x for x in samples if x.text is not None],
                 "avt": [x for x in samples
-                        if x.features.has_audio or x.features.has_text],
+                        if x.audio is not None or x.text is not None],
             }
             for term in ("av", "vt", "avt"):
                 full = value(term, emb, cents)
@@ -292,7 +291,7 @@ class TestCriterion7DeterminismPersistence:
     def test_formats_roundtrip_bitwise(self, tmp_path, tiny_run):
         arr = Stream(4, "accept-ltf").normal((6, 5))
         save_ltf(tmp_path / "t.ltf", arr)
-        ltf_ok = np.array_equal(load_ltf(tmp_path / "t.ltf").data, arr)
+        ltf_ok = np.array_equal(load_ltf(tmp_path / "t.ltf"), arr)
 
         ck = load_checkpoint(tiny_run.checkpoint_path)
         save_checkpoint(tmp_path / "again.lavc", ck.stack, ck.adam, ck.config,
@@ -312,10 +311,9 @@ class TestCriterion8FullScaleShapes:
         s = Stream(9, "accept-smoke")
         samples = []
         for i in range(4):
-            samples.append(BatchSample(f"p{i}", 0, ModalityFeatures(
-                video=Tensor(s.normal((16, 512))),
-                audio=Tensor(s.normal((256, 80))),       # [time, mel] = [256, 80]
-                text=s.integers(128, 48000))))
+            samples.append(Sample(f"p{i}", 0, video=s.normal((16, 512)),
+                                  audio=s.normal((256, 80)),       # [time, mel] = [256, 80]
+                                  text=s.integers(128, 48000)))
         emb = stack.embed_batch(samples)
         lb = loss_total(emb, compute_centroids(emb), LossConfig(tau=0.07))
         backward(lb.total)
@@ -355,10 +353,9 @@ class TestDataSanity:
         pc = cfg_mod.probe_config(default_cfg)
 
         def feats(split):
-            recs = default_dataset.records_for(split)
-            x = np.stack([default_dataset.load_features(r).video.data.mean(axis=0)
-                          for r in recs])
-            return x, np.array([r.label for r in recs])
+            samples = default_dataset.samples(split)
+            x = np.stack([s.video.mean(axis=0) for s in samples])
+            return x, np.array([s.label for s in samples])
 
         xtr, ytr = feats("train")
         head = Linear(xtr.shape[1], default_dataset.n_classes, pc.seed, "raw")

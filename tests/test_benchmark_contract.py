@@ -2,14 +2,19 @@
 
 The benchmark wraps functions and counts ops by name; a rename it has not
 followed would make it report `correct: false`. These checks make such a
-rename fail the tests instead. They only read `perfbench/`.
+rename fail the tests instead, and one round of the `pretrain` and
+`probe_eval` workloads checks the calls they make into the program. They
+only read `perfbench/`.
 """
 
 import importlib
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from trimodal.gradcheck import OP_CASES
 
@@ -35,3 +40,14 @@ def test_gradcheck_ops_are_op_cases():
 def test_workloads_match_benchmark_json():
     declared = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["workloads"]
     assert set(workloads.WORKLOADS) == {w["name"] for w in declared}
+
+
+@pytest.mark.parametrize("workload", ["pretrain", "probe_eval"])
+def test_one_round_is_correct(workload):
+    # `--seconds 0` runs a single round; its last line is the JSON result
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", "1", "--seconds", "0"],
+                          cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, proc.stderr[-2000:]

@@ -110,6 +110,106 @@ class TestPretrain:
                      "--out", str(tmp_path / "x.lavc")]) == 3
 
 
+def _with(doc_edits: dict, tmp_path, name: str) -> str:
+    """A config file: the tiny config with `doc_edits` merged into its sections."""
+    doc = copy.deepcopy(TINY_OVERRIDES)
+    doc["train"]["epochs"] = 1
+    for section, values in doc_edits.items():
+        doc.setdefault(section, {}).update(values)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestResume:
+    def test_conflicting_flag_exit_2(self, cli_env, tmp_path, capsys):
+        # the checkpoint stores epochs 1: a resumed run cannot silently drop --epochs 3
+        code = main(["pretrain", "--data", str(cli_env["data"]), "--out",
+                     str(tmp_path / "r.lavc"), "--resume", str(cli_env["ckpt"]),
+                     "--epochs", "3"])
+        assert code == 2
+        assert "train.epochs" in capsys.readouterr().err
+        assert not (tmp_path / "r.lavc").exists()
+
+    def test_conflicting_config_value_exit_2(self, cli_env, tmp_path, capsys):
+        cfg = _with({"optim": {"lr_max": 0.5}}, tmp_path, "lr")
+        code = main(["pretrain", "--config", cfg, "--data", str(cli_env["data"]),
+                     "--out", str(tmp_path / "r.lavc"), "--resume", str(cli_env["ckpt"])])
+        assert code == 2
+        assert "optim.lr_max" in capsys.readouterr().err
+
+    def test_finished_run_with_equal_values_prints_null_loss(self, cli_env, tmp_path, capsys):
+        # flags and --config may repeat the stored values; no step runs, so
+        # there is no final loss, and the report stays valid JSON
+        code = main(["pretrain", "--config", str(cli_env["cfg"]), "--data",
+                     str(cli_env["data"]), "--out", str(tmp_path / "r.lavc"),
+                     "--resume", str(cli_env["ckpt"]), "--epochs", "1", "--seed", "11"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert '"final_loss": null' in out
+        report = json.loads(out, parse_constant=lambda c: pytest.fail(f"not JSON: {c}"))
+        assert report["epochs"] == 1 and report["final_loss"] is None
+
+
+class TestDatasetModelMismatch:
+    """A dataset the model does not fit exits 2 with a message naming the
+    sample and the config key, never a shape error traceback."""
+
+    @pytest.fixture(scope="class")
+    def other_data(self, tmp_path_factory):
+        # the tiny dataset with wider video and audio frames (8 -> 10, 6 -> 9)
+        root = tmp_path_factory.mktemp("other")
+        cfg = _with({"data": {"d_video": 10, "d_audio": 9}}, root, "wide")
+        assert main(["gen-data", "--config", cfg, "--out", str(root / "ds")]) == 0
+        return root / "ds"
+
+    @pytest.mark.parametrize("edits, key", [
+        ({"data": {"d_video": 16}}, "data.d_video"),
+        ({"data": {"d_audio": 5}}, "data.d_audio"),
+        ({"data": {"vocab": 6}}, "data.vocab"),
+        ({"data": {"l_text": 2}, "model": {"max_text_len": 3}}, "model.max_text_len"),
+    ], ids=["d_video", "d_audio", "vocab", "max_text_len"])
+    def test_pretrain_exit_2(self, cli_env, tmp_path, capsys, edits, key):
+        cfg = _with(edits, tmp_path, "misfit")
+        code = main(["pretrain", "--config", cfg, "--data", str(cli_env["data"]),
+                     "--out", str(tmp_path / "x.lavc")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "sample 's0" in err and key in err
+        assert not (tmp_path / "x.lavc").exists()
+
+    @pytest.mark.parametrize("command, mode, key", [
+        ("probe", "video", "data.d_video"),
+        ("probe", "audio+video", "data.d_video"),
+        ("eval", "video", "data.d_video"),
+    ])
+    def test_probe_and_eval_on_wider_video_exit_2(self, cli_env, other_data, capsys,
+                                                  command, mode, key):
+        code = main([command, "--ckpt", str(cli_env["ckpt"]), "--data", str(other_data),
+                     "--mode", mode, "--config", str(cli_env["cfg"])])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "sample 's0" in err and key in err
+
+    def test_fused_eval_on_wider_audio_exit_2(self, cli_env, tmp_path, capsys):
+        # same video width, another audio width: the video probe still runs,
+        # the fused one names data.d_audio, with a trained head or a saved one
+        cfg = _with({"data": {"d_audio": 9}}, tmp_path, "audio9")
+        data = tmp_path / "ds"
+        assert main(["gen-data", "--config", cfg, "--out", str(data)]) == 0
+        head = tmp_path / "head.lavc"
+        save_probe(head, ProbeHead(Stream(0, "head").normal((32, 3)), np.zeros(3),
+                                   "audio+video"))
+        base = ["eval", "--ckpt", str(cli_env["ckpt"]), "--data", str(data),
+                "--clips", "1", "--config", str(cli_env["cfg"])]
+        assert main(base + ["--mode", "video"]) == 0
+        capsys.readouterr()
+        for extra in ([], ["--head", str(head)]):
+            assert main(base + ["--mode", "audio+video"] + extra) == 2
+            err = capsys.readouterr().err
+            assert "sample 's0" in err and "data.d_audio" in err
+
+
 class TestMalformedInputs:
     @pytest.mark.parametrize("doc,key", MALFORMED, ids=[key for _, key in MALFORMED])
     def test_malformed_config_exit_2(self, cli_env, tmp_path, capsys, doc, key):
@@ -308,6 +408,23 @@ class TestProbeAndEval:
         assert main(["eval", "--ckpt", str(cli_env["ckpt"]), "--data", str(data),
                      "--mode", mode, "--clips", "4", "--splits", "1",
                      "--config", str(cli_env["cfg"])]) == 3
+        assert "meta.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: m["config"].update(bogus=1),
+        lambda m: m["config"].update(t_video=0),
+        lambda m: m.update(config=[1]),
+    ], ids=["unknown-config-key", "config-out-of-bounds", "config-not-an-object"])
+    def test_meta_config_checked_at_load_exit_3(self, cli_env, tmp_path, capsys, edit):
+        # load_manifest checks meta.json's config against the data schema, so
+        # pre-training refuses such a dataset too, not only multi-clip eval
+        data = tmp_path / "ds"
+        shutil.copytree(cli_env["data"], data)
+        meta = json.loads((data / "meta.json").read_text())
+        edit(meta)
+        (data / "meta.json").write_text(json.dumps(meta))
+        assert main(["pretrain", "--config", str(cli_env["cfg"]), "--data", str(data),
+                     "--out", str(tmp_path / "x.lavc")]) == 3
         assert "meta.json" in capsys.readouterr().err
 
     def test_fusion_on_audio_free_dataset_exit_2(self, cli_env, tmp_path, capsys):

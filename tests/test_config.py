@@ -186,6 +186,19 @@ class TestFiles:
         cfg = cfg_mod.resolve_config(path, overrides={"train": {"epochs": 9}})
         assert cfg["train"]["epochs"] == 9
 
+    def test_resume_config_takes_repeats_and_names_conflicts(self, tmp_path):
+        stored = cfg_mod.resolve_config(overrides={"train": {"seed": 3, "epochs": 2}})
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"loss": {"weights": {"av": 1}}, "model": {"d_ff": None}}))
+        assert cfg_mod.resume_config(stored, path, {"train": {"seed": 3}}) is stored
+        for doc, key in (({"loss": {"weights": {"vt": 2.0}}}, "loss.weights.vt"),
+                         ({"loss": {"terms": ["vt", "av", "avt"]}}, "loss.terms"),
+                         ({"train": {"epochs": 3}}, "train.epochs")):
+            with pytest.raises(ConfigError, match=re.escape(key)):
+                cfg_mod.resume_config(stored, path, doc)
+        with pytest.raises(ConfigError, match="unknown config key 'train.bogus'"):
+            cfg_mod.resume_config(stored, overrides={"train": {"bogus": 3}})
+
 
 def _rows(schema, prefix=""):
     for key, row in schema.items():

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from trimodal import config as cfg_mod
 from trimodal import data
+from trimodal import train as train_mod
 from trimodal.data import (SPLITS, SyntheticConfig, _sample_text, augment_audio,
                            generate_synthetic, load_manifest, make_batches, sample_audio,
                            sample_video)
 from trimodal.errors import ConfigError, FormatError
 from trimodal.ltf import save_ltf
 from trimodal.rng import Stream
-from trimodal.tensor import Tensor
 
 
 def tiny_synth(**kw):
@@ -30,14 +31,13 @@ class TestGeneration:
                          offset_sigma_video=0.0)
         man = generate_synthetic(cfg, tmp_path / "ds")
         by_class = {}
-        for rec in man.records:
-            feats = man.load_features(rec)
-            key = rec.label
+        for sample in (s for split in SPLITS for s in man.samples(split)):
+            key = sample.label
             if key in by_class:
-                assert np.array_equal(feats.video.data, by_class[key][0])
-                assert np.array_equal(feats.audio.data, by_class[key][1])
+                assert np.array_equal(sample.video, by_class[key][0])
+                assert np.array_equal(sample.audio, by_class[key][1])
             else:
-                by_class[key] = (feats.video.data, feats.audio.data)
+                by_class[key] = (sample.video, sample.audio)
         assert len(by_class) == cfg.n_classes
 
     def test_availability_rate_within_four_sigma(self, tmp_path):
@@ -80,7 +80,7 @@ class TestGeneration:
         man = generate_synthetic(tiny_synth(), tmp_path / "ds")
         for rec in man.records:
             if rec.text_path:
-                toks = man.load_features(rec).text
+                (toks,) = [s.text for s in man.samples(rec.split) if s.id == rec.id]
                 assert toks.min() >= 0 and toks.max() < 16
 
     def test_per_clip_offset_is_shared_across_tokens(self, tmp_path):
@@ -238,7 +238,10 @@ class TestManifestLoading:
 
     def test_malformed_meta_is_format_error(self, tmp_path):
         man = generate_synthetic(tiny_synth(), tmp_path / "ds")
-        for text in ("{", "[]", '{"config": 3}', '{"config": {"n_classes": "4"}}'):
+        # the config is checked once, at load, against the whole `data` schema
+        for text in ("{", "[]", '{"config": 3}', '{"config": {"n_classes": "4"}}',
+                     '{"config": {"n_classes": 1}}', '{"config": {"bogus": 1}}',
+                     '{"config": {"t_video": 0}}', '{"config": {"vocab": 4}}'):
             (man.root / "meta.json").write_text(text)
             with pytest.raises(FormatError, match="meta.json"):
                 load_manifest(man.root)
@@ -307,6 +310,14 @@ class TestBatching:
         with pytest.raises(ConfigError):
             make_batches(tiny_dataset, "train", 1, seed=9, epoch=0)
 
+    def test_batches_hold_the_cached_samples(self, fresh_manifest):
+        # every batch entry is the manifest's own cached Sample, not a copy
+        cached = {s.id: s for s in fresh_manifest.samples("train")}
+        for epoch in (0, 1):
+            batches = make_batches(fresh_manifest, "train", 8, seed=9, epoch=epoch)
+            assert all(s is cached[s.id] for b in batches for s in b)
+            assert all(type(s.video) is np.ndarray for b in batches for s in b)
+
     def test_covers_split_exactly_once(self, tiny_dataset):
         batches = make_batches(tiny_dataset, "train", 8, seed=9, epoch=0)
         ids = [s.id for b in batches for s in b]
@@ -317,25 +328,46 @@ class TestBatching:
 
 class TestAugmentAudio:
     def test_sigma_zero_is_identity(self):
-        spec = Tensor(Stream(1).normal((4, 5)))
+        spec = Stream(1).normal((4, 5))
         assert augment_audio(spec, 0.0, seed=7) is spec
 
     def test_noise_statistics(self):
-        spec = Tensor(np.zeros((250, 400)))  # 1e5 elements
+        spec = np.zeros((250, 400))  # 1e5 elements
         out = augment_audio(spec, 0.3, seed=8)
-        diff = out.data - spec.data
+        assert type(out) is np.ndarray and not np.shares_memory(out, spec)
+        diff = out - spec
         n = diff.size
         assert abs(diff.mean()) < 4 * 0.3 / np.sqrt(n)
         assert abs(diff.std() - 0.3) < 0.01
 
     def test_same_seed_same_noise(self):
-        spec = Tensor(Stream(2).normal((3, 4)))
+        spec = Stream(2).normal((3, 4))
         a = augment_audio(spec, 0.5, seed=11)
         b = augment_audio(spec, 0.5, seed=11)
         c = augment_audio(spec, 0.5, seed=12)
-        assert np.array_equal(a.data, b.data)
-        assert not np.array_equal(a.data, c.data)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ConfigError):
-            augment_audio(Tensor([1.0]), -0.1, seed=1)
+            augment_audio(np.array([1.0]), -0.1, seed=1)
+
+    def test_pretraining_leaves_cached_samples_unchanged(self, tiny_cfg, tiny_dataset,
+                                                          tmp_path, monkeypatch):
+        # augmentation makes new audio arrays: the manifest's cached samples
+        # keep every byte through a pre-training epoch
+        def raw_bytes(samples):
+            return [tuple(None if x is None else x.tobytes() for x in (s.video, s.audio, s.text))
+                    for s in samples]
+
+        man = load_manifest(tiny_dataset.root)
+        samples = [s for split in SPLITS for s in man.samples(split)]
+        before = raw_bytes(samples)
+        assert any(s.audio is not None for s in man.samples("train"))
+        monkeypatch.setattr(train_mod, "load_manifest", lambda _: man)
+        cfg = cfg_mod.resolve_config(overrides={**tiny_cfg, "train": {
+            **tiny_cfg["train"], "epochs": 1, "augment_sigma_audio": 0.5}})
+        train_mod.pretrain(cfg, tiny_dataset.root, tmp_path / "ck.lavc")
+        again = [s for split in SPLITS for s in man.samples(split)]
+        assert all(a is b for a, b in zip(again, samples))
+        assert raw_bytes(samples) == before

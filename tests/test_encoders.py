@@ -1,12 +1,14 @@
 """Encoder stack: modality front-ends, projections, batch embedding."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from trimodal import tensor as T
-from trimodal.data import BatchSample
-from trimodal.encoders import EncoderStack, ModalityFeatures
-from trimodal.errors import AvailabilityError, ShapeError
+from trimodal.data import Sample
+from trimodal.encoders import EncoderStack
+from trimodal.errors import AvailabilityError, ConfigError, ShapeError
 from trimodal.gradcheck import max_rel_err, tiny_training_setup
 from trimodal.losses import LossConfig, compute_centroids, loss_av, loss_total
 from trimodal.rng import Stream
@@ -24,31 +26,28 @@ def make_batch(stack_seed=23, availability=((True, True), (False, True), (True, 
     s = Stream(stack_seed, "feats")
     samples = []
     for i, (has_a, has_t) in enumerate(availability):
-        feats = ModalityFeatures(
-            video=Tensor(s.normal((3, 5))),
-            audio=Tensor(s.normal((2, 4))) if has_a else None,
-            text=s.integers(3, 9) if has_t else None,
-        )
-        samples.append(BatchSample(f"b{i}", i % 2, feats))
+        samples.append(Sample(f"b{i}", i % 2, video=s.normal((3, 5)),
+                              audio=s.normal((2, 4)) if has_a else None,
+                              text=s.integers(3, 9) if has_t else None))
     return samples
 
 
 class TestSingleSampleEncoders:
     def test_encode_video_deterministic(self):
         stack = small_stack()
-        x = Tensor(Stream(1).normal((4, 5)))
+        x = Stream(1).normal((4, 5))
         assert np.array_equal(stack.encode_video(x).data, stack.encode_video(x).data)
 
     def test_encode_video_output_dim(self):
         stack = small_stack()
         for t in (1, 2, 7):
-            z = stack.encode_video(Tensor(Stream(2, t).normal((t, 5))))
+            z = stack.encode_video(Stream(2, t).normal((t, 5)))
             assert z.shape == (8,)
 
     def test_encode_audio_full_scale_shape(self):
         # log-mel input laid out [time, mel] = [256, 80]
         stack = small_stack(d_audio_raw=80)
-        z = stack.encode_audio(Tensor(Stream(3).normal((256, 80))))
+        z = stack.encode_audio(Stream(3).normal((256, 80)))
         assert z.shape == (8,)
 
     def test_encode_audio_absent_rejected(self):
@@ -73,7 +72,7 @@ class TestSingleSampleEncoders:
 
     def test_encoder_gradients_end_to_end(self):
         stack, batch = tiny_training_setup(5)
-        video = batch[0].features.video
+        video = batch[0].video
         w = Tensor(Stream(6).uniform(4) + 0.5)
         leaves = [p for _, p in stack.parameters()]
         err = max_rel_err(leaves, lambda: T.dot(stack.encode_video(video), w))
@@ -90,14 +89,14 @@ class TestStackedEncoders:
         s = Stream(9, "stacked", b, t)
         video, audio = s.normal((b, t, 5)), s.normal((b, t, 4))
         for encode, x in ((stack.encode_video, video), (stack.encode_audio, audio)):
-            rows = encode(Tensor(x))
+            rows = encode(x)
             assert rows.shape == (b, 8)
             for i in range(b):
-                assert rows.data[i].tobytes() == encode(Tensor(x[i])).data.tobytes()
+                assert rows.data[i].tobytes() == encode(x[i]).data.tobytes()
 
     def test_stacked_gradients(self):
         stack = small_stack(n_heads=2)
-        x = Tensor(Stream(6).normal((2, 3, 5)))
+        x = Stream(6).normal((2, 3, 5))
         leaves = [stack.video_in.W, stack.f_v.blocks[0].attn.Wq.W, stack.f_v.blocks[0].ln2.gamma]
         weights = Tensor(Stream(6, "w").uniform((2, 8)))
 
@@ -139,6 +138,37 @@ class TestProjection:
         err = max_rel_err([z, head.W, head.b],
                           lambda: T.sum_all(T.mul(stack.project(z, "av", "a"), w)))
         assert err < 1e-4
+
+
+class TestCheckInputs:
+    """A sample the stack cannot encode is a config error naming the sample
+    and the key that sized the stack (d_video 5, d_audio 4, vocab 9,
+    max_text_len 16 here)."""
+
+    @pytest.mark.parametrize("field,value,key", [
+        ("video", np.zeros((3, 6)), "data.d_video"),
+        ("audio", np.zeros((2, 5)), "data.d_audio"),
+        ("text", np.array([1, 9]), "data.vocab"),
+        ("text", np.ones(17, dtype=np.int64), "model.max_text_len"),
+    ])
+    def test_misfit_names_sample_and_key(self, field, value, key):
+        stack = small_stack()
+        batch = make_batch()
+        stack.check_inputs(batch)
+        batch[0] = replace(batch[0], **{field: value})
+        with pytest.raises(ConfigError, match=f"sample 'b0'.*{key}"):
+            stack.check_inputs(batch)
+        with pytest.raises(ShapeError):  # what the encoders would raise instead
+            stack.embed_batch(batch)
+
+    def test_only_named_modalities_are_checked(self):
+        stack = small_stack()
+        batch = [replace(s, audio=None if s.audio is None else np.zeros((2, 5)),
+                         text=None if s.text is None else np.array([9]))
+                 for s in make_batch()]
+        stack.check_inputs(batch, "v")
+        with pytest.raises(ConfigError, match="data.d_audio"):
+            stack.check_inputs(batch, "va")
 
 
 class TestEmbedBatch:

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from trimodal import config as cfg_mod
+from trimodal import data as data_mod
 from trimodal.checkpoint import _write_archive, load_checkpoint
-from trimodal import evaluate as evaluate_mod
 from trimodal.data import SyntheticConfig, generate_synthetic, sample_audio, sample_video
 from trimodal.errors import AvailabilityError, ConfigError, NumericError
 from trimodal.evaluate import (MODES, TEST_SPLITS, ProbeConfig, ProbeHead, SplitResult,
-                               _ClipSource, _stored_blocks, embed_frozen, evaluate,
-                               evaluate_all_splits, load_probe, save_probe, train_probe)
+                               embed_frozen, evaluate, evaluate_all_splits, load_probe,
+                               save_probe, train_probe)
 from trimodal.layers import Linear
 from trimodal.ltf import load_ltf
 from trimodal.optim import Adam
@@ -28,6 +28,14 @@ def fingerprint(stack) -> str:
         h.update(name.encode())
         h.update(p.data.tobytes())
     return h.hexdigest()
+
+
+def stored(man, split, mode):
+    """The split's samples that `mode` embeds, their stored video blocks
+    and, for the fused probe, their audio blocks (None for the video probe)."""
+    samples = [s for s in man.samples(split) if mode == "video" or s.audio is not None]
+    return (samples, [s.video for s in samples],
+            None if mode == "video" else [s.audio for s in samples])
 
 
 @pytest.fixture(scope="module")
@@ -60,8 +68,8 @@ class TestFreezing:
 
     def test_frozen_embedding_records_no_graph(self, trained, monkeypatch):
         _, man, stack = trained
-        feats = man.load_features(man.records_for("test1")[0])
-        recorded = stack.encode_video(feats.video)
+        sample = man.samples("test1")[0]
+        recorded = stack.encode_video(sample.video)
         assert recorded.requires_grad
         outputs = []
         encode = stack.encode_video
@@ -74,7 +82,7 @@ class TestFreezing:
         head = train_probe(stack, man, "audio+video", ProbeConfig(epochs=1))
         evaluate(stack, head, man, "test1", clips_per_video=2)
         assert outputs and not any(z.requires_grad for z in outputs)
-        assert np.array_equal(embed_frozen(stack, [feats.video.data])[0], recorded.data)
+        assert np.array_equal(embed_frozen(stack, [sample.video])[0], recorded.data)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_one_encoder_call_per_length_and_split(self, trained, monkeypatch, mode):
@@ -89,9 +97,7 @@ class TestFreezing:
             monkeypatch.setattr(stack, name, spy)
 
         def lengths(split, modality):
-            feats = [man.load_features(r) for r in man.records_for(split)]
-            return {getattr(f, modality).shape[0] for f in feats
-                    if mode == "video" or f.has_audio}
+            return {getattr(s, modality).shape[0] for s in stored(man, split, mode)[0]}
 
         head = train_probe(stack, man, mode, ProbeConfig(epochs=1))
         evaluate(stack, head, man, "test1", clips_per_video=4)
@@ -114,9 +120,9 @@ class TestFreezing:
                                  (embed_frozen(stack, video, audio), True)):
             assert rows.shape == (len(shapes), (1 + with_audio) * stack.d_model)
             for r, row in enumerate(rows):
-                expect = stack.encode_video(Tensor(video[r])).data
+                expect = stack.encode_video(video[r]).data
                 if with_audio:
-                    expect = np.concatenate([expect, stack.encode_audio(Tensor(audio[r])).data])
+                    expect = np.concatenate([expect, stack.encode_audio(audio[r]).data])
                 assert row.tobytes() == expect.tobytes()
 
 
@@ -139,10 +145,10 @@ class TestProbeTraining:
         # has 39 videos, 29 with audio) and one minibatch per epoch (64)
         _, man, stack = trained
         cfg = ProbeConfig(epochs=4, batch_size=batch_size)
-        records, video, audio = _stored_blocks(man, man.records_for("train"), mode)
-        assert len(records) % batch_size  # the last minibatch is short
+        samples, video, audio = stored(man, "train", mode)
+        assert len(samples) % batch_size  # the last minibatch is short
         x = embed_frozen(stack, video, audio)
-        y = np.array([r.label for r in records], dtype=np.int64)
+        y = np.array([s.label for s in samples], dtype=np.int64)
         ref = Linear(x.shape[1], man.n_classes, cfg.seed, "probe")
         adam = Adam(ref.parameters())
         for epoch in range(cfg.epochs):
@@ -202,20 +208,20 @@ class TestFusion:
     def test_fused_rows_put_video_first(self, trained):
         # each fused row is the sample's video embedding, then its audio one
         _, man, stack = trained
-        _, video, audio = _stored_blocks(man, man.records_for("test1"), "audio+video")
+        _, video, audio = stored(man, "test1", "audio+video")
         fused, video_rows = embed_frozen(stack, video, audio), embed_frozen(stack, video)
         d = stack.d_model
         assert fused[:, :d].tobytes() == video_rows.tobytes()
         with no_grad():
-            audio_rows = stack.encode_audio(Tensor(np.stack(audio))).data
+            audio_rows = stack.encode_audio(np.stack(audio)).data
         assert fused[:, d:].tobytes() == audio_rows.tobytes()
 
     @pytest.mark.parametrize("mode", MODES)
     def test_row_width(self, trained, mode):
         _, man, stack = trained
-        records, video, audio = _stored_blocks(man, man.records_for("train"), mode)
+        samples, video, audio = stored(man, "train", mode)
         width = stack.d_model * (1 if mode == "video" else 2)
-        assert embed_frozen(stack, video, audio).shape == (len(records), width)
+        assert embed_frozen(stack, video, audio).shape == (len(samples), width)
 
     def test_fused_probe_input_width(self, trained):
         cfg, man, stack = trained
@@ -269,25 +275,23 @@ class TestClips:
     @pytest.mark.parametrize("mode", MODES)
     def test_clip_stack_matches_per_clip_loop(self, trained, mode):
         # the reference: one `sample_video` / `sample_audio` call per
-        # (record, clip), keyed (seed, "clip-<modality>", id, j)
+        # (sample, clip), keyed (seed, "clip-<modality>", id, j)
         _, man, _ = trained
         fused = mode == "audio+video"
-        recs, video, audio = _stored_blocks(
-            man, man.records_for("test1") + man.records_for("train"), mode)
-        clip_video, clip_audio = _ClipSource(man, need_audio=fused, seed=13).clips(
-            recs, video, audio, 3)
+        recs = stored(man, "test1", mode)[0] + stored(man, "train", mode)[0]
+        clip_video, clip_audio = man.clips(recs, 3, 13, fused)
         synth = SyntheticConfig(**man.meta["config"])
-        m_video = load_ltf(man.root / man.meta["templates"]["video"]).data
-        m_audio = load_ltf(man.root / man.meta["templates"]["audio"]).data
+        m_video = load_ltf(man.root / man.meta["templates"]["video"])
+        m_audio = load_ltf(man.root / man.meta["templates"]["audio"])
         assert len(clip_video) == 3 * len(recs)
         if fused:
             assert len(clip_audio) == 3 * len(recs)
         else:
             assert clip_audio is None
         for r, rec in enumerate(recs):
-            assert clip_video[3 * r] is video[r]
+            assert clip_video[3 * r] is rec.video
             if fused:
-                assert clip_audio[3 * r] is audio[r]
+                assert clip_audio[3 * r] is rec.audio
             for j in (1, 2):
                 want = sample_video(synth, m_video[rec.label], (13, "clip-video", rec.id, j))
                 assert clip_video[3 * r + j].tobytes() == want.tobytes()
@@ -301,8 +305,8 @@ class TestClips:
         head = train_probe(stack, man, mode, cfg_mod.probe_config(cfg))
         calls = []
         for name in ("sample_video", "sample_audio"):
-            real = getattr(evaluate_mod, name)
-            monkeypatch.setattr(evaluate_mod, name,
+            real = getattr(data_mod, name)
+            monkeypatch.setattr(data_mod, name,
                                 lambda *a, real=real, name=name: calls.append(name) or real(*a))
         evaluate_all_splits(stack, head, man, clips_per_video=4, seed=3)
         per_split = ["sample_video"] + (["sample_audio"] if mode == "audio+video" else [])
@@ -319,11 +323,9 @@ def per_record_split(stack, head, man, split, clips, seed) -> SplitResult:
     """The reference for `evaluate`'s one stacked product: each video's
     `[J, d]` clip embeddings times W, plus b, averaged over its clips, then
     hits and totals counted record by record."""
-    records = man.records_for(split)
-    scored, video, audio = _stored_blocks(man, records, head.mode)
+    scored, video, audio = stored(man, split, head.mode)
     if clips > 1:
-        video, audio = _ClipSource(man, need_audio=audio is not None, seed=seed).clips(
-            scored, video, audio, clips)
+        video, audio = man.clips(scored, clips, seed, audio is not None)
     embs = embed_frozen(stack, video, audio)
     hits, totals, correct = {}, {}, 0
     for r, rec in enumerate(scored):
@@ -333,7 +335,7 @@ def per_record_split(stack, head, man, split, clips, seed) -> SplitResult:
             correct += 1
             hits[rec.label] = hits.get(rec.label, 0) + 1
     return SplitResult(split=split, top1=correct / len(scored), n=len(scored),
-                       n_excluded=len(records) - len(scored),
+                       n_excluded=len(man.records_for(split)) - len(scored),
                        per_class={k: hits.get(k, 0) / t for k, t in sorted(totals.items())},
                        class_counts={k: (hits.get(k, 0), t) for k, t in sorted(totals.items())})
 

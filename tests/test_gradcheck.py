@@ -74,8 +74,7 @@ class TestOpCoverage:
         emb = stack.embed_batch(batch, spaces=loss_cfg.enabled_terms)
         T.backward(loss_total(emb, compute_centroids(emb), loss_cfg).total)
         adam.step(cfg["optim"]["lr_max"])
-        feats = [man.load_features(r) for r in man.records_for("test1")]
-        embed_frozen(stack, [f.video.data for f in feats if f.has_audio],
-                     [f.audio.data for f in feats if f.has_audio])
+        fused = [s for s in man.samples("test1") if s.audio is not None]
+        embed_frozen(stack, [s.video for s in fused], [s.audio for s in fused])
         assert {"attention", "linear", "layer_norm_rows"} <= seen
         assert seen - set(OP_CASES) <= self.UNCHECKED, sorted(seen - set(OP_CASES))

@@ -28,12 +28,23 @@ class TestRoundTrip:
         arr = Stream(1, "ltf").normal((5, 7))
         path = tmp_path / "a.ltf"
         save_ltf(path, arr)
-        assert np.array_equal(load_ltf(path).data, arr)
+        assert np.array_equal(load_ltf(path), arr)
+
+    def test_arrays_in_and_out(self, tmp_path):
+        # load_ltf returns the float64 ndarray it read, and save_ltf takes
+        # arrays only: a Tensor is not one
+        path = tmp_path / "a.ltf"
+        save_ltf(path, [[1.0, 2.0]])
+        back = load_ltf(path)
+        assert type(back) is np.ndarray and back.dtype == np.float64
+        assert back.flags["OWNDATA"] and back.flags["WRITEABLE"]
+        with pytest.raises(FormatError, match="dtype object"):
+            save_ltf(tmp_path / "b.ltf", Tensor([1.0]))
 
     def test_rank3_and_rank0(self, tmp_path):
         for arr in (Stream(2).normal((2, 3, 4)), np.asarray(3.25)):
             save_ltf(tmp_path / "t.ltf", arr)
-            back = load_ltf(tmp_path / "t.ltf").data
+            back = load_ltf(tmp_path / "t.ltf")
             assert back.shape == arr.shape
             assert np.array_equal(back, arr)
 
@@ -162,4 +173,4 @@ class TestArbitraryBytes:
             value = load_ltf(path)
         except FormatError:
             return
-        assert isinstance(value, Tensor)
+        assert type(value) is np.ndarray and value.dtype == np.float64
