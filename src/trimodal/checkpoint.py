@@ -9,8 +9,10 @@ Layout:
 Entry names: `param.<hierarchical name>`, `adam.m.<name>`, `adam.v.<name>`,
 `state.counters` (float64 [step, epochs_done, adam_t]) and `config`, the
 JSON object `{"config": <resolved document>}` as a uint8 byte tensor. That
-document is the archive's only description of its model: loading rebuilds
-the stack from it with `config.encoder_stack`, then fills in the entries.
+document is the archive's only description of its model: loading checks
+every `param.*`/`adam.*` entry against the shapes it implies
+(`config.parameter_shapes`) before allocating anything, then rebuilds the
+stack from it with `config.encoder_stack` and fills in the entries.
 Archives written by earlier versions also carry a `stack_dims` key beside
 it, which loading ignores. A probe head (`evaluate.save_probe`) is an
 archive of `param.probe.W`, `param.probe.b` and a `config` entry `{"mode"}`.
@@ -150,19 +152,21 @@ def load_checkpoint(path) -> Checkpoint:
         config = cfg_mod.validate(blob["config"])
     except ConfigError as e:
         raise FormatError(f"{path}: 'config' in entry 'config' is invalid: {e}") from e
+    # Every entry is checked against the shapes the config implies before
+    # anything is allocated, so a config claiming a larger model than the
+    # archive holds fails at its first missing or misshapen entry.
+    for name, shape in cfg_mod.parameter_shapes(config):
+        for key in (f"param.{name}", f"adam.m.{name}", f"adam.v.{name}"):
+            (arr,) = require(path, entries, key)
+            if arr.shape != shape:
+                raise FormatError(f"{path}: shape mismatch for {key!r} "
+                                  f"({arr.shape} vs {shape})")
     stack = cfg_mod.encoder_stack(config, 0)
     adam = cfg_mod.adam(config, stack.parameters())
     for name, p in stack.parameters():
-        for prefix, target in (("param.", None), ("adam.m.", adam.m), ("adam.v.", adam.v)):
-            key = prefix + name
-            (arr,) = require(path, entries, key)
-            if arr.shape != p.data.shape:
-                raise FormatError(f"{path}: shape mismatch for {key!r} "
-                                  f"({arr.shape} vs {p.data.shape})")
-            if target is None:
-                p.data[...] = arr
-            else:
-                target[name][...] = arr
+        p.data[...] = entries[f"param.{name}"]
+        adam.m[name][...] = entries[f"adam.m.{name}"]
+        adam.v[name][...] = entries[f"adam.v.{name}"]
     adam.t = adam_t
     return Checkpoint(stack=stack, adam=adam, config=config,
                       epochs_done=epochs_done, step=step)

@@ -225,11 +225,21 @@ def synthetic_config(cfg: dict):
     return SyntheticConfig(**cfg["data"])
 
 
+def _stack_args(cfg: dict) -> dict:
+    d = cfg["data"]
+    return {"d_video_raw": d["d_video"], "d_audio_raw": d["d_audio"], "vocab": d["vocab"],
+            **cfg["model"]}
+
+
 def encoder_stack(cfg: dict, seed: int):
     from .encoders import EncoderStack
-    d = cfg["data"]
-    return EncoderStack(d_video_raw=d["d_video"], d_audio_raw=d["d_audio"], vocab=d["vocab"],
-                        seed=seed, **cfg["model"])
+    return EncoderStack(seed=seed, **_stack_args(cfg))
+
+
+def parameter_shapes(cfg: dict):
+    """`(name, shape)` of each parameter of `encoder_stack(cfg, ...)`, lazily."""
+    from .encoders import parameter_shapes
+    return parameter_shapes(**_stack_args(cfg))
 
 
 def loss_config(cfg: dict):

@@ -70,12 +70,8 @@ class EncoderStack:
                  **model):
         """`model` takes the config's `model` keys; keys left out take their
         schema defaults, and every value is checked against the schema."""
-        m = section("model", model)
+        m = _model_section(model)
         d_model, d_proj = m["d_model"], m["d_proj"]
-        if m["d_ff"] is None:
-            m["d_ff"] = 2 * d_model
-        if m["audio_hidden"] is None:
-            m["audio_hidden"] = d_model
         self.d_model = d_model
         self.d_proj = d_proj
         self.max_text_len = m["max_text_len"]
@@ -189,6 +185,45 @@ class EncoderStack:
             avail_a=avail_a,
             avail_t=avail_t,
         )
+
+
+def _model_section(model: dict) -> dict:
+    """The `model` keys resolved and checked, with `d_ff` (2 * d_model) and
+    `audio_hidden` (d_model) filled in where null."""
+    m = section("model", model)
+    if m["d_ff"] is None:
+        m["d_ff"] = 2 * m["d_model"]
+    if m["audio_hidden"] is None:
+        m["audio_hidden"] = m["d_model"]
+    return m
+
+
+def parameter_shapes(*, d_video_raw: int, d_audio_raw: int, vocab: int, **model):
+    """Yield `(name, shape)` for every parameter of the `EncoderStack` that
+    these arguments build, in `parameters()` order, without building it."""
+    m = _model_section(model)
+    d_model, d_ff, d_hidden = m["d_model"], m["d_ff"], m["audio_hidden"]
+
+    def linear(name, d_in, d_out):
+        yield f"{name}.W", (d_in, d_out)
+        yield f"{name}.b", (d_out,)
+
+    yield from linear("video_in", d_video_raw, d_model)
+    yield from linear("audio_mlp.l1", d_audio_raw, d_hidden)
+    yield from linear("audio_mlp.l2", d_hidden, d_model)
+    yield "text_embed.table", (vocab, d_model)
+    for enc in ("f_a", "f_v", "f_t"):
+        for i in range(m["n_layers"]):
+            block = f"{enc}.layer{i}"
+            for w in ("Wq", "Wk", "Wv", "Wo"):
+                yield from linear(f"{block}.attn.{w}", d_model, d_model)
+            yield from linear(f"{block}.ff1", d_model, d_ff)
+            yield from linear(f"{block}.ff2", d_ff, d_model)
+            for norm in ("ln1", "ln2"):
+                yield f"{block}.{norm}.gamma", (d_model,)
+                yield f"{block}.{norm}.beta", (d_model,)
+    for space in ("av", "vt", "avt"):
+        yield from linear(f"g_{space}", d_model, m["d_proj"])
 
 
 def _as_vector(row_matrix: Tensor) -> Tensor:

@@ -5,10 +5,12 @@ video-only embeddings, or video and audio embeddings concatenated
 video-first, and is trained with cross-entropy. The encoders never receive
 gradients; their parameters are bitwise untouched. The samples come from
 `data.Manifest`, and each is checked against the stack first. `embed_frozen`
-maps their raw blocks (arrays) to one `[n, d]` array without a graph, in
-one encoder call per modality and sequence length for a whole split (every
-clip of every video at once). The head is fitted on plain arrays with the
-arithmetic of `Linear.forward` and `cross_entropy_rows` (shared through
+maps their raw blocks (arrays) to one preallocated `[n, d]` array without a
+graph (every clip of every video of a split). It encodes per modality and
+sequence length T, in consecutive stacks of at most `BUDGET // (T *
+d_model)` sequences, so its temporaries stay bounded whatever the split's
+size. The head is fitted on plain arrays with the arithmetic of
+`Linear.forward` and `cross_entropy_rows` (shared through
 `softmax_nll_rows`) and their backward, then the package's `Adam`: bitwise
 the graph-built fit of `Linear(d_in, C, seed, "probe")`. Weight over bias
 is one `[d_in+1, C]` Adam parameter whose gradient fills one preallocated
@@ -42,6 +44,14 @@ from .tensor import Tensor, _ensure_finite, no_grad, softmax_nll_rows
 
 MODES = ("video", "audio+video")
 TEST_SPLITS = ("test1", "test2", "test3")
+# Elements of the [B, T, d_model] activation that one frozen-encoder call
+# may hold: 2^15, 42 sequences of 12 frames at d_model 64. At the desk
+# defaults the train-split encodes of both probe modes (348 videos, then
+# 212 videos and audios) raised a fresh process's peak RSS by 20.1 MB in one
+# stack per length, 11.0 MB in chunks of 170, 3.5 MB in chunks of 42 and
+# 1.7 MB in chunks of 10, all in the same time (~0.1 s). Smaller chunks buy
+# little: pre-training's graph, not embedding, then sets the peak.
+BUDGET = 2 ** 15
 
 
 _EVAL = DEFAULTS["eval"]
@@ -111,19 +121,19 @@ class EvalReport:
         }
 
 
-def _encode_by_length(encode, seqs: list[np.ndarray]) -> np.ndarray:
-    """`encode` of each [T, d] sequence, as [n, d_model] rows in input order:
-    one call per distinct length T, on the [B, T, d] stack of that length."""
+def _encode_by_length(encode, seqs: list[np.ndarray], out: np.ndarray) -> None:
+    """Write `encode` of each [T, d] sequence into the rows of `out`
+    ([n, d_model]) in input order. Sequences of one length T go through
+    `encode` as [B, T, d] stacks of consecutive chunks, each of at most
+    `max(1, BUDGET // (T * d_model))` sequences."""
     groups: dict[int, list[int]] = {}
     for i, seq in enumerate(seqs):
         groups.setdefault(seq.shape[0], []).append(i)
-    rows = None
-    for idx in groups.values():
-        z = encode(np.stack([seqs[i] for i in idx])).data
-        if rows is None:
-            rows = np.empty((len(seqs), z.shape[1]))
-        rows[idx] = z
-    return rows
+    for t, idx in groups.items():
+        chunk = max(1, BUDGET // (t * out.shape[1]))
+        for start in range(0, len(idx), chunk):
+            rows = idx[start:start + chunk]
+            out[rows] = encode(np.stack([seqs[i] for i in rows])).data
 
 
 def _usable(stack: EncoderStack, samples: list[Sample], mode: str) -> list[Sample]:
@@ -141,11 +151,13 @@ def embed_frozen(stack: EncoderStack, video: list[np.ndarray],
     without recording a graph: the video encoding of each `[T, d_raw]`
     block, followed by the audio encoding of its audio block when `audio`
     is given. Each row is bitwise that sample's own one-sample encoding."""
+    d = stack.d_model
+    z = np.empty((len(video), d if audio is None else 2 * d))
     with no_grad():
-        z = _encode_by_length(stack.encode_video, video)
-        if audio is None:
-            return z
-        return np.concatenate([z, _encode_by_length(stack.encode_audio, audio)], axis=1)
+        _encode_by_length(stack.encode_video, video, z[:, :d])
+        if audio is not None:
+            _encode_by_length(stack.encode_audio, audio, z[:, d:])
+    return z
 
 
 def train_probe(stack: EncoderStack, manifest: Manifest, mode: str,

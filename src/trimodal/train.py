@@ -15,9 +15,10 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import config as cfg_mod
+from . import ltf
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import Sample, augment_audio, load_manifest, make_batches
-from .errors import ConfigError, NumericError, TrainingAborted
+from .errors import ConfigError, FormatError, NumericError, TrainingAborted
 from .losses import compute_centroids, loss_total
 from .optim import CosineSchedule
 from .rng import Stream
@@ -43,12 +44,49 @@ def _augmented(batch: list[Sample], sigma: float, seed: int, epoch: int,
             for s, c in zip(batch, child_seeds)]
 
 
+def _kept_log(log_path: Path, step: int, epochs_done: int) -> bytes:
+    """The bytes of an existing log that a run resumed at `step`, after
+    `epochs_done` epochs, keeps: its step records before `step`, and the
+    warnings of epochs before `epochs_done`. The records run one a step from
+    the first (0, or the checkpoint step of the run that started the log) to
+    `step` - 1; every line up to the last kept one must be such a record or
+    warning, otherwise `FormatError` names the log and the line."""
+    kept, nxt = [], None  # nxt: the step the next record must have
+    with open(log_path, "rb") as f:
+        for n, line in enumerate(f, 1):
+            try:
+                rec = json.loads(line)
+            except ValueError:  # not UTF-8 or not JSON
+                rec = {}
+            rec = rec if isinstance(rec, dict) else {}
+            epoch = rec.get("epoch")
+            if "warning" in rec and isinstance(epoch, int) and epoch < epochs_done:
+                kept.append(line)
+                continue
+            s = rec.get("step")
+            s = s if type(s) is int and s >= 0 else None
+            nxt = s if nxt is None else nxt
+            if nxt is not None and nxt >= step:
+                break  # past the checkpoint
+            if s is None or s != nxt:
+                which = "a step record" if nxt is None else f"the record of step {nxt}"
+                raise FormatError(f"{log_path}: line {n} is not {which}, "
+                                  f"and the checkpoint being resumed is at step {step}")
+            kept.append(line)
+            nxt += 1
+    if nxt is not None and nxt < step:
+        raise FormatError(f"{log_path}: its step records end at step {nxt - 1}, but the "
+                          f"checkpoint being resumed is at step {step}")
+    return b"".join(kept)
+
+
 def pretrain(cfg: dict, data_dir, out_path, log_path=None, resume=None) -> TrainResult:
     """Run pre-training and write the final checkpoint plus a JSONL log.
 
     `cfg` is a fully-resolved config document (see `config.resolve_config`).
     With `resume`, training continues from an epoch-aligned checkpoint using
-    the configuration stored inside it.
+    the configuration stored inside it; an existing log at `log_path` keeps
+    the records before the checkpoint (`_kept_log`) and drops the rest.
     """
     out_path = Path(out_path)
     log_path = Path(log_path) if log_path else out_path.with_suffix(out_path.suffix + ".log.jsonl")
@@ -59,6 +97,7 @@ def pretrain(cfg: dict, data_dir, out_path, log_path=None, resume=None) -> Train
         cfg = ck.config
         stack, adam = ck.stack, ck.adam
         start_epoch, global_step = ck.epochs_done, ck.step
+        kept = _kept_log(log_path, ck.step, ck.epochs_done) if log_path.exists() else None
         log_mode = "a"
     else:
         seed_value = cfg["train"]["seed"]
@@ -67,7 +106,7 @@ def pretrain(cfg: dict, data_dir, out_path, log_path=None, resume=None) -> Train
         stack = cfg_mod.encoder_stack(cfg, seed_value)
         adam = cfg_mod.adam(cfg, stack.parameters())
         start_epoch, global_step = 0, 0
-        log_mode = "w"
+        kept, log_mode = None, "w"
 
     seed = cfg["train"]["seed"]
     epochs = cfg["train"]["epochs"]
@@ -86,6 +125,9 @@ def pretrain(cfg: dict, data_dir, out_path, log_path=None, resume=None) -> Train
 
     epoch_ckpts: dict[int, Path] = {}
     final_loss = None
+    if kept is not None:  # rewritten only once every check above has passed
+        with ltf.atomic_write(log_path) as f:
+            f.write(kept)
     with open(log_path, log_mode) as log:
         for epoch in range(start_epoch, epochs):
             batches = make_batches(manifest, "train", batch_size, seed, epoch)
@@ -126,6 +168,7 @@ def pretrain(cfg: dict, data_dir, out_path, log_path=None, resume=None) -> Train
                 log.write(json.dumps({"epoch": epoch, "warning": msg}) + "\n")
             if checkpoint_every > 0 and (epoch + 1) % checkpoint_every == 0 and epoch + 1 < epochs:
                 ck_path = out_path.with_name(f"{out_path.stem}.epoch{epoch + 1:04d}{out_path.suffix}")
+                log.flush()  # a resume from this checkpoint finds its records
                 save_checkpoint(ck_path, stack, adam, cfg, epoch + 1, global_step)
                 epoch_ckpts[epoch + 1] = ck_path
 

@@ -4,7 +4,8 @@ The benchmark wraps functions and counts ops by name; a rename it has not
 followed would make it report `correct: false`. These checks make such a
 rename fail the tests instead, and one round of the `pretrain` and
 `probe_eval` workloads checks the calls they make into the program. They
-only read `perfbench/`.
+only read `perfbench/`, `BENCHMARK.json` and the committed `BENCH_*.json`
+records.
 """
 
 import importlib
@@ -40,6 +41,25 @@ def test_gradcheck_ops_are_op_cases():
 def test_workloads_match_benchmark_json():
     declared = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["workloads"]
     assert set(workloads.WORKLOADS) == {w["name"] for w in declared}
+
+
+def test_bench_records_name_declared_workloads_and_metrics():
+    # each committed before/after record (`BENCH_*.json`) parses and names
+    # only the workloads and metrics that BENCHMARK.json declares
+    declared = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
+    names = {key: {entry["name"] for entry in declared[key]}
+             for key in ("workloads", "end_to_end", "per_layer")}
+    records = sorted(PERFBENCH.parent.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        record = json.loads(path.read_text())
+        for workload, metrics in record["end_to_end"].items():
+            assert workload in names["workloads"], (path.name, workload)
+            assert set(metrics) <= names["end_to_end"], (path.name, set(metrics))
+        for key in ("pairs", "correct", "failed"):
+            assert set(record[key]) <= names["workloads"], (path.name, key)
+        traced = set(record.get("traced", {})) - {"command"}
+        assert traced <= names["per_layer"], (path.name, traced)
 
 
 @pytest.mark.parametrize("workload", ["pretrain", "probe_eval"])

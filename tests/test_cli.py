@@ -272,6 +272,25 @@ class TestMalformedInputs:
         for name, p in ck.stack.parameters():
             assert p.data.tobytes() == entries[f"param.{name}"].tobytes(), name
 
+    def test_config_larger_than_archive_exit_3(self, cli_env, tmp_path, capsys):
+        entries = _read_archive(cli_env["ckpt"])
+        blob = json.loads(entries["config"].tobytes())
+        blob["config"]["model"].update(d_model=256, n_layers=16)
+        entries["config"] = np.frombuffer(json.dumps(blob).encode(), dtype=np.uint8)
+        bad = tmp_path / "forged.lavc"
+        _write_archive(bad, list(entries.items()))
+        assert main(["probe", "--ckpt", str(bad), "--data", str(cli_env["data"])]) == 3
+        assert "shape mismatch for 'param.video_in.W'" in capsys.readouterr().err
+
+    def test_resume_over_disagreeing_log_exit_3(self, cli_env, tmp_path, capsys):
+        out = tmp_path / "r.lavc"
+        log = tmp_path / "r.lavc.log.jsonl"
+        log.write_text('{"step": 0}\nnot json\n')
+        assert main(["pretrain", "--data", str(cli_env["data"]), "--out", str(out),
+                     "--resume", str(cli_env["ckpt"])]) == 3
+        assert f"{log}: line 2 is not the record of step 1" in capsys.readouterr().err
+        assert log.read_text() == '{"step": 0}\nnot json\n'
+
     @pytest.mark.parametrize("counters", [[3.0, 1.0], [3.0, 1.0, 0.5], [3.0, -1.0, 3.0],
                                           [[3.0, 1.0, 3.0]]], ids=str)
     def test_forged_counters_exit_3(self, cli_env, tmp_path, capsys, counters):

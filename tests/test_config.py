@@ -68,6 +68,16 @@ class TestDefaults:
         assert stack.audio_mlp.l1.W.shape == (cfg["data"]["d_audio"], 64)  # audio_hidden
         assert stack.video_in.W.shape == (cfg["data"]["d_video"], 64)
 
+    @pytest.mark.parametrize("model", [
+        {}, {"n_layers": 0}, {"d_model": 12, "n_heads": 3, "n_layers": 3, "d_ff": 5,
+                              "audio_hidden": 7, "d_proj": 2}], ids=str)
+    def test_parameter_shapes_match_the_built_stack(self, model):
+        # the shapes a checkpoint load checks before building the stack
+        cfg = cfg_mod.resolve_config(overrides={"model": model, "data": {"vocab": 40}})
+        stack = cfg_mod.encoder_stack(cfg, 0)
+        assert (list(cfg_mod.parameter_shapes(cfg))
+                == [(name, p.data.shape) for name, p in stack.parameters()])
+
 
 class TestRejection:
     def test_unknown_top_level_key(self):

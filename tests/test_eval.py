@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from trimodal import config as cfg_mod
 from trimodal import data as data_mod
+from trimodal import evaluate as evaluate_mod
 from trimodal.checkpoint import _write_archive, load_checkpoint
 from trimodal.data import SyntheticConfig, generate_synthetic, sample_audio, sample_video
 from trimodal.errors import AvailabilityError, ConfigError, NumericError
@@ -85,45 +87,73 @@ class TestFreezing:
         assert np.array_equal(embed_frozen(stack, [sample.video])[0], recorded.data)
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_one_encoder_call_per_length_and_split(self, trained, monkeypatch, mode):
-        # stacked embedding: one call per distinct sequence length per split,
-        # not one per sample or clip, and none of them records a graph
+    def test_chunked_encoder_calls_per_length_and_split(self, trained, monkeypatch, mode):
+        # each split's sequences of one length T go through the encoder in
+        # consecutive stacks of `max(1, BUDGET // (T * d_model))`, the last
+        # one short, not one per sample or clip; none records a graph
         _, man, stack = trained
+        monkeypatch.setattr(evaluate_mod, "BUDGET", 5 * 4 * stack.d_model + 3)
         calls = {"encode_video": [], "encode_audio": []}
         for name, out in calls.items():
             def spy(x, encode=getattr(stack, name), out=out):
-                out.append(encode(x))
-                return out[-1]
+                z = encode(x)
+                out.append((len(x), z.requires_grad))
+                return z
             monkeypatch.setattr(stack, name, spy)
 
-        def lengths(split, modality):
-            return {getattr(s, modality).shape[0] for s in stored(man, split, mode)[0]}
+        def sizes(split, modality, clips):
+            lengths = Counter(getattr(s, modality).shape[0]
+                              for s in stored(man, split, mode)[0] for _ in range(clips))
+            out = []
+            for t, n in lengths.items():
+                chunk = max(1, evaluate_mod.BUDGET // (t * stack.d_model))
+                out += [chunk] * (n // chunk) + [n % chunk] * (n % chunk > 0)
+            return out
 
         head = train_probe(stack, man, mode, ProbeConfig(epochs=1))
         evaluate(stack, head, man, "test1", clips_per_video=4)
-        video_calls = len(lengths("train", "video")) + len(lengths("test1", "video"))
-        audio_calls = 0 if mode == "video" else (
-            len(lengths("train", "audio")) + len(lengths("test1", "audio")))
-        assert len(calls["encode_video"]) == video_calls
-        assert len(calls["encode_audio"]) == audio_calls
-        assert not any(z.requires_grad for out in calls.values() for z in out)
+        video = sizes("train", "video", 1) + sizes("test1", "video", 4)
+        audio = [] if mode == "video" else sizes("train", "audio", 1) + sizes("test1", "audio", 4)
+        assert max(video) == 5 and len(video) > len(set(video))
+        assert [n for n, _ in calls["encode_video"]] == video
+        assert [n for n, _ in calls["encode_audio"]] == audio
+        assert not any(graph for out in calls.values() for _, graph in out)
 
-    def test_stacked_rows_keep_input_order(self, trained):
-        # mixed video lengths and mixed audio availability: every row equals
-        # that sample's own one-sample encoding, bit for bit
+    def test_stacked_rows_keep_input_order(self, trained, monkeypatch):
+        # mixed video and audio lengths: every row equals that sample's own
+        # one-sample encoding, bit for bit, in one stack per length and in
+        # chunks (at BUDGET 128 the 3 videos of length 4 go as 2 + 1, the 2
+        # audios of length 5 as 1 + 1; at BUDGET 1 every call is one sample)
         _, _, stack = trained
         s = Stream(21, "mixed")
         shapes = [(4, 3), (2, 2), (4, 5), (1, 3), (2, 1), (4, 4), (1, 5)]
         video = [s.normal((t_v, stack.video_in.W.shape[0])) for t_v, _ in shapes]
         audio = [s.normal((t_a, stack.audio_mlp.l1.W.shape[0])) for _, t_a in shapes]
-        for rows, with_audio in ((embed_frozen(stack, video), False),
-                                 (embed_frozen(stack, video, audio), True)):
-            assert rows.shape == (len(shapes), (1 + with_audio) * stack.d_model)
-            for r, row in enumerate(rows):
-                expect = stack.encode_video(video[r]).data
-                if with_audio:
-                    expect = np.concatenate([expect, stack.encode_audio(audio[r]).data])
-                assert row.tobytes() == expect.tobytes()
+        for budget in (evaluate_mod.BUDGET, 128, 1):
+            monkeypatch.setattr(evaluate_mod, "BUDGET", budget)
+            for rows, with_audio in ((embed_frozen(stack, video), False),
+                                     (embed_frozen(stack, video, audio), True)):
+                assert rows.shape == (len(shapes), (1 + with_audio) * stack.d_model)
+                for r, row in enumerate(rows):
+                    expect = stack.encode_video(video[r]).data
+                    if with_audio:
+                        expect = np.concatenate([expect, stack.encode_audio(audio[r]).data])
+                    assert row.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_chunks_keep_heads_and_reports(self, trained, monkeypatch, mode):
+        # chunks of 5 clips, the last of a split short: the probe head
+        # and the 4-clip report equal those of one stack per length
+        cfg, man, stack = trained
+        head = train_probe(stack, man, mode, cfg_mod.probe_config(cfg))
+        report = evaluate_all_splits(stack, head, man, clips_per_video=4, seed=5).to_dict()
+        monkeypatch.setattr(evaluate_mod, "BUDGET", 5 * 4 * stack.d_model)
+        assert any(4 * r["n"] % 5 for r in report["splits"].values())
+        chunked = train_probe(stack, man, mode, cfg_mod.probe_config(cfg))
+        assert chunked.W.tobytes() == head.W.tobytes()
+        assert chunked.b.tobytes() == head.b.tobytes()
+        assert evaluate_all_splits(stack, chunked, man, clips_per_video=4,
+                                   seed=5).to_dict() == report
 
 
 class TestProbeTraining:

@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import TINY_OVERRIDES
 from test_config import _JSON
+import trimodal
 from trimodal import config as cfg_mod
 from trimodal import ltf
 from trimodal import train as train_mod
@@ -113,6 +117,39 @@ class TestCheckpoint:
         assert ck.epochs_done == tiny_cfg["train"]["epochs"]
         assert ck.step == tiny_run.steps
         assert ck.adam.t == tiny_run.steps
+
+    def test_claimed_model_larger_than_archive_is_not_allocated(self, tmp_path):
+        # a desk-default archive whose config claims d_model 256 and 16
+        # layers: the load fails on its first entry, and its peak RSS stays
+        # near a valid load's (building the claimed model took ~640 MB)
+        cfg = cfg_mod.resolve_config(overrides={"train": {"seed": 1}})
+        stack = cfg_mod.encoder_stack(cfg, 1)
+        valid, forged = tmp_path / "valid.lavc", tmp_path / "forged.lavc"
+        save_checkpoint(valid, stack, cfg_mod.adam(cfg, stack.parameters()), cfg, 0, 0)
+        entries = _read_archive(valid)
+        blob = json.loads(entries["config"].tobytes())
+        blob["config"]["model"].update(d_model=256, n_layers=16)
+        entries["config"] = np.frombuffer(json.dumps(blob).encode(), dtype=np.uint8)
+        _write_archive(forged, list(entries.items()))
+        src = os.path.dirname(os.path.dirname(trimodal.__file__))
+        script = ("import resource, sys\n"
+                  "from trimodal.checkpoint import load_checkpoint\n"
+                  "from trimodal.errors import FormatError\n"
+                  "try:\n"
+                  "    load_checkpoint(sys.argv[1]); print('loaded')\n"
+                  "except FormatError as e:\n"
+                  "    print(f'FormatError: {e}')\n"
+                  "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        peaks = {}
+        for path in (valid, forged):
+            proc = subprocess.run([sys.executable, "-c", script, str(path)],
+                                  env={**os.environ, "PYTHONPATH": src},
+                                  capture_output=True, text=True, timeout=120)
+            outcome, kib = proc.stdout.splitlines()
+            peaks[path.stem] = (outcome, int(kib) / 1024)
+        assert peaks["valid"][0] == "loaded"
+        assert peaks["forged"][0].startswith(f"FormatError: {forged}: shape mismatch")
+        assert peaks["forged"][1] < peaks["valid"][1] + 16.0, peaks
 
     def test_truncated_archive_rejected(self, tiny_run, tmp_path):
         raw = tiny_run.checkpoint_path.read_bytes()
@@ -280,6 +317,102 @@ class TestResume:
         steps_per_epoch = full.steps // 2
         assert resumed_log == full_log[steps_per_epoch:]
         assert len(resumed_log) >= 5
+
+    def test_resume_into_same_log_matches_uninterrupted(self, tiny_cfg, tiny_dataset,
+                                                         tmp_path):
+        # the records past the checkpoint are dropped, not duplicated
+        cfg = cfg_mod.validate({**tiny_cfg, "train": {**tiny_cfg["train"], "epochs": 3,
+                                                      "checkpoint_every": 1}})
+        full = pretrain(cfg, tiny_dataset.root, tmp_path / "run.lavc")
+        full_log = strip_wall(read_log(full.log_path))
+        resumed = pretrain(None, tiny_dataset.root, tmp_path / "run.lavc",
+                           resume=full.epoch_checkpoints[1])
+        assert resumed.log_path == full.log_path
+        assert strip_wall(read_log(resumed.log_path)) == full_log
+        assert [r["step"] for r in full_log] == list(range(full.steps))
+
+    def test_resume_twice_into_a_resumed_log(self, tiny_cfg, tiny_dataset, tmp_path):
+        # a log started by a resumed run begins at that run's checkpoint step,
+        # and resuming it again keeps its records from there
+        cfg = cfg_mod.validate({**tiny_cfg, "train": {**tiny_cfg["train"], "epochs": 3,
+                                                      "checkpoint_every": 1}})
+        full = pretrain(cfg, tiny_dataset.root, tmp_path / "full.lavc")
+        full_log = strip_wall(read_log(full.log_path))
+        first = pretrain(None, tiny_dataset.root, tmp_path / "second.lavc",
+                         resume=full.epoch_checkpoints[1])
+        start = load_checkpoint(full.epoch_checkpoints[1]).step
+        second = pretrain(None, tiny_dataset.root, tmp_path / "second.lavc",
+                          resume=first.epoch_checkpoints[2])
+        assert second.log_path == first.log_path
+        assert strip_wall(read_log(second.log_path)) == full_log[start:]
+        assert (tmp_path / "second.lavc").read_bytes() == full.checkpoint_path.read_bytes()
+
+    def test_failed_resume_leaves_the_log(self, tiny_cfg, tiny_dataset, tmp_path,
+                                          monkeypatch):
+        # the log is cut back only once every set-up check has passed
+        cfg = cfg_mod.validate({**tiny_cfg, "train": {**tiny_cfg["train"],
+                                                      "checkpoint_every": 1}})
+        full = pretrain(cfg, tiny_dataset.root, tmp_path / "run.lavc")
+        before = full.log_path.read_bytes()
+
+        def refuse(self, samples, modalities="vat"):
+            raise ConfigError("dataset does not fit")
+
+        monkeypatch.setattr(EncoderStack, "check_inputs", refuse)
+        with pytest.raises(ConfigError):
+            pretrain(None, tiny_dataset.root, tmp_path / "run.lavc",
+                     resume=full.epoch_checkpoints[1])
+        assert full.log_path.read_bytes() == before
+
+    @pytest.fixture(scope="class")
+    def epoch_log(self, tiny_cfg, tiny_dataset, tmp_path_factory):
+        """The lines of a 2-epoch log with a warning after each epoch, and its
+        epoch-1 checkpoint's step."""
+        cfg = cfg_mod.validate({**tiny_cfg, "train": {**tiny_cfg["train"],
+                                                      "checkpoint_every": 1}})
+        res = pretrain(cfg, tiny_dataset.root, tmp_path_factory.mktemp("log") / "ck.lavc")
+        step = load_checkpoint(res.epoch_checkpoints[1]).step
+        lines = open(res.log_path, "rb").read().splitlines(keepends=True)
+        warn = [json.dumps({"epoch": e, "warning": "w"}).encode() + b"\n" for e in (0, 1)]
+        return lines[:step] + warn[:1] + lines[step:] + warn[1:], step
+
+    def test_kept_log_ends_at_the_checkpoint(self, epoch_log, tmp_path):
+        lines, step = epoch_log
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(b"".join(lines) + b'{"step": 99, "ep')  # cut mid-record
+        assert train_mod._kept_log(path, step, 1) == b"".join(lines[:step + 1])
+        assert train_mod._kept_log(path, len(lines) - 2, 2) == b"".join(lines)
+        assert train_mod._kept_log(path, 0, 0) == b""
+
+    def test_kept_log_may_start_past_step_0(self, epoch_log, tmp_path):
+        # the log of a run resumed into a new path starts at its checkpoint
+        lines, step = epoch_log
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(b"".join(lines[2:]))
+        assert train_mod._kept_log(path, step, 1) == b"".join(lines[2:step + 1])
+        path.write_bytes(b"".join(lines[step + 1:]))  # starts at the checkpoint
+        assert train_mod._kept_log(path, step, 1) == b""
+        assert train_mod._kept_log(path, 1, 0) == b""  # starts past it
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines[:2] + [b'{"step": 2, "ep\n'] + lines[3:], "line 3 is not"),
+        (lambda lines: lines[:2] + [b"\xff\n"] + lines[3:], "line 3 is not"),
+        (lambda lines: lines[:2] + [b"[2]\n"] + lines[3:], "line 3 is not"),
+        (lambda lines: lines[:2] + lines[3:], "line 3 is not the record of step 2"),
+        (lambda lines: lines[:3], "its step records end at step 2"),
+        (lambda lines: [b'{"step": -1}\n'] + lines, "line 1 is not a step record"),
+        (lambda lines: [b'{"step": true}\n'] + lines[1:], "line 1 is not a step record"),
+        (lambda lines: lines[:1] + [b'{"step": true}\n'] + lines[2:],
+         "line 2 is not the record of step 1"),
+    ], ids=["cut", "not-utf8", "not-object", "skipped-step", "short", "negative-step",
+            "bool-step", "bool-step-later"])
+    def test_disagreeing_log_is_format_error(self, epoch_log, tmp_path, edit, message):
+        lines, step = epoch_log
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(b"".join(edit(lines)))
+        with pytest.raises(FormatError, match=message) as err:
+            train_mod._kept_log(path, step, 1)
+        assert str(path) in str(err.value)
 
     def test_intermediate_checkpoints_written(self, tiny_cfg, tiny_dataset, tmp_path):
         cfg = cfg_mod.validate({**tiny_cfg,
