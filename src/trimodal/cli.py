@@ -61,10 +61,11 @@ def _cmd_pretrain(args) -> int:
         overrides["train"]["checkpoint_every"] = args.checkpoint_every
     overrides = {k: v for k, v in overrides.items() if v}
     if args.resume is None:
-        cfg = cfg_mod.resolve_config(args.config, overrides)
+        cfg, resume = cfg_mod.resolve_config(args.config, overrides), None
     else:
-        cfg = cfg_mod.resume_config(load_checkpoint(args.resume).config, args.config, overrides)
-    result = pretrain(cfg, args.data, args.out, resume=args.resume)
+        resume = load_checkpoint(args.resume)  # loaded once, for its config and to resume
+        cfg = cfg_mod.resume_config(resume.config, args.config, overrides)
+    result = pretrain(cfg, args.data, args.out, resume=resume)
     print(json.dumps({
         "checkpoint": str(result.checkpoint_path),
         "log": str(result.log_path),

@@ -151,6 +151,33 @@ def _case_linear(s):
     return [x, W, b, sx], lambda: _sum2(T.linear(x, W, b), T.linear(sx, W, b))
 
 
+def _case_linear_relu(s):
+    x, W, sx = _leaf(s, (4, 3)), _leaf(s, (3, 2)), _leaf(s, (2, 2, 3))
+    # a bias that keeps every pre-activation 0.05 or more from the kink
+    pre = np.concatenate([x.data @ W.data, (sx.data @ W.data).reshape(-1, 2)])
+    bias = s.uniform(2) * 2.0 - 1.0
+    for j in range(2):
+        while np.abs(pre[:, j] + bias[j]).min() < 0.05:
+            bias[j] += 0.1
+    b = Tensor(bias, requires_grad=True)
+    return [x, W, b, sx], lambda: _sum2(T.linear_relu(x, W, b), T.linear_relu(sx, W, b))
+
+
+def _case_residual_norm(s):
+    # LN(x + h @ W + b) on a [3, 4] sample (h [3, 2]) and a [2, 2, 3] stack (h [2, 2, 2])
+    x, h, W, b = _leaf(s, (3, 4)), _leaf(s, (3, 2)), _leaf(s, (2, 4)), _leaf(s, (4,))
+    gamma, beta = _leaf(s, (4,), 0.5, 1.5), _leaf(s, (4,), -0.5, 0.5)
+    sx, sh, sW, sb = _leaf(s, (2, 2, 3)), _leaf(s, (2, 2, 2)), _leaf(s, (2, 3)), _leaf(s, (3,))
+    sgamma, sbeta = _leaf(s, (3,), 0.5, 1.5), _leaf(s, (3,), -0.5, 0.5)
+    return [x, h, W, b, gamma, beta, sx, sh, sW, sb, sgamma, sbeta], lambda: _sum2(
+        T.residual_norm(x, h, W, b, gamma, beta), T.residual_norm(sx, sh, sW, sb, sgamma, sbeta))
+
+
+def _case_add_const(s):
+    a, sa, c = _leaf(s, (3, 4)), _leaf(s, (2, 3, 4)), s.uniform((3, 4))
+    return [a, sa], lambda: _sum2(T.add_const(a, c), T.add_const(sa, c))
+
+
 def _case_attention(s):
     # 2 heads: of width 2 on a [3, 4] sample, of width 1 on a [2, 3, 2] stack
     q, k, v = _leaf(s, (3, 4)), _leaf(s, (3, 4)), _leaf(s, (3, 4))
@@ -239,7 +266,9 @@ OP_CASES = {
     "scale": _case_scale, "add_scalar": _case_add_scalar, "relu": _case_relu,
     "exp": _case_exp, "log": _case_log, "matmul": _case_matmul,
     "transpose": _case_transpose, "dot": _case_dot, "linear": _case_linear,
-    "add_rowvec": _case_add_rowvec, "attention": _case_attention,
+    "linear_relu": _case_linear_relu, "residual_norm": _case_residual_norm,
+    "add_const": _case_add_const, "add_rowvec": _case_add_rowvec,
+    "attention": _case_attention,
     "sum_all": _case_sum_all, "mean_axis0": _case_mean_axis0,
     "logsumexp_all": _case_logsumexp_all, "stack_rows": _case_stack_rows,
     "concat_cols": _case_concat_cols, "slice_cols": _case_slice_cols,

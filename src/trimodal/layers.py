@@ -1,6 +1,11 @@
 """Neural building blocks: linear maps, layer norm, multi-head self-attention,
 transformer encoder stacks, token embeddings, positional encoding, pooling.
 
+An encoder block is three projection nodes, one attention node and three
+fused nodes (`tensor.residual_norm` twice, `tensor.linear_relu` once), so
+its graph keeps only what backward reads: no residual sum, no ReLU
+pre-activation, and no output of `Wo` or `ff2`, which only feed a sum.
+
 Sequence layers take `[..., T, d]`: a `[T, d]` sample, or `[B, T, d]` for B
 samples of one length T. Each sample's output is bitwise what it gets on its
 own, since every op works per stacked matrix and no sample sees another.
@@ -29,15 +34,17 @@ def _uniform_init(shape: tuple[int, ...], fan_in: int, fan_out: int, seed: int, 
 
 
 class Linear:
-    """y = x W + b with W[in, out] for x[..., in], bias broadcast over rows."""
+    """y = x W + b with W[in, out] for x[..., in], bias broadcast over rows;
+    with `relu`, max(y, 0) in the same graph node."""
 
-    def __init__(self, d_in: int, d_out: int, seed: int, name: str):
+    def __init__(self, d_in: int, d_out: int, seed: int, name: str, relu: bool = False):
         self.name = name
+        self.relu = relu
         self.W = _uniform_init((d_in, d_out), d_in, d_out, seed, name + ".W")
         self.b = Tensor(np.zeros(d_out), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        return T.linear(x, self.W, self.b)
+        return (T.linear_relu if self.relu else T.linear)(x, self.W, self.b)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return [(self.name + ".W", self.W), (self.name + ".b", self.b)]
@@ -47,25 +54,30 @@ class MLP:
     """Two linear maps with a ReLU between (the audio front-end)."""
 
     def __init__(self, d_in: int, d_hidden: int, d_out: int, seed: int, name: str):
-        self.l1 = Linear(d_in, d_hidden, seed, name + ".l1")
+        self.l1 = Linear(d_in, d_hidden, seed, name + ".l1", relu=True)
         self.l2 = Linear(d_hidden, d_out, seed, name + ".l2")
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.l2.forward(T.relu(self.l1.forward(x)))
+        return self.l2.forward(self.l1.forward(x))
 
     def parameters(self):
         return self.l1.parameters() + self.l2.parameters()
 
 
 class LayerNorm:
+    """The post-norm step of a residual sublayer: LN(x + proj(h)), normalised
+    over the last axis, then scaled by gamma and shifted by beta."""
+
     def __init__(self, d: int, name: str, eps: float = 1e-5):
         self.name = name
         self.eps = eps
         self.gamma = Tensor(np.ones(d), requires_grad=True)
         self.beta = Tensor(np.zeros(d), requires_grad=True)
 
-    def forward(self, x: Tensor) -> Tensor:
-        return T.layer_norm_rows(x, self.gamma, self.beta, self.eps)
+    def forward(self, x: Tensor, proj: Linear, h: Tensor) -> Tensor:
+        """One `tensor.residual_norm` node: `proj`'s product, the residual sum
+        and the norm, keeping neither the product nor the sum."""
+        return T.residual_norm(x, h, proj.W, proj.b, self.gamma, self.beta, self.eps)
 
     def parameters(self):
         return [(self.name + ".gamma", self.gamma), (self.name + ".beta", self.beta)]
@@ -75,8 +87,9 @@ class MultiHeadAttention:
     """Scaled dot-product self-attention over [..., T, d_model] sequences.
 
     The query, key and value projections feed one `tensor.attention` node,
-    which runs every head; its concatenated heads go through the output
-    projection. Residual and layer norm belong to the enclosing block.
+    which runs every head; `forward` returns its concatenated heads. The
+    output projection `Wo` is a parameter of this layer, but the enclosing
+    block applies it, in one node with the residual sum and the layer norm.
     """
 
     def __init__(self, d_model: int, n_heads: int, seed: int, name: str):
@@ -93,9 +106,8 @@ class MultiHeadAttention:
     def forward(self, x: Tensor) -> Tensor:
         if x.data.ndim < 2 or x.shape[-1] != self.d_model:
             raise ShapeError(f"attention input must be [..., T, {self.d_model}], got {x.shape}")
-        heads = T.attention(self.Wq.forward(x), self.Wk.forward(x), self.Wv.forward(x),
-                            self.n_heads)
-        return self.Wo.forward(heads)
+        return T.attention(self.Wq.forward(x), self.Wk.forward(x), self.Wv.forward(x),
+                           self.n_heads)
 
     def parameters(self):
         return (self.Wq.parameters() + self.Wk.parameters()
@@ -103,19 +115,28 @@ class MultiHeadAttention:
 
 
 class EncoderBlock:
-    """Post-norm transformer block: LN(x + MHA(x)), then LN(h + FF(h))."""
+    """Post-norm transformer block: h = LN(x + MHA(x)), then LN(h + FF(h)).
+
+    Seven graph nodes: the `Wq`, `Wk`, `Wv` linears and the attention node,
+    `ln1`'s `residual_norm` (with `Wo`), `ff1`'s `linear_relu` and `ln2`'s
+    `residual_norm` (with `ff2`). Values and gradients are bitwise those of
+    the unfused graph (`linear`, `add`, `relu` and `layer_norm_rows` nodes,
+    twelve in all). Per [T, d] sample the graph keeps the seven outputs (six
+    [T, d], one [T, d_ff]), the attention probabilities [H, T, T], and each
+    norm's `xhat` [T, d] and `inv` [T, 1]: 8 (8 T d + T d_ff + H T^2 + 2 T)
+    bytes, against 8 (12 T d + 2 T d_ff + H T^2 + 2 T) + T d_ff unfused.
+    """
 
     def __init__(self, d_model: int, n_heads: int, d_ff: int, seed: int, name: str):
         self.attn = MultiHeadAttention(d_model, n_heads, seed, name + ".attn")
-        self.ff1 = Linear(d_model, d_ff, seed, name + ".ff1")
+        self.ff1 = Linear(d_model, d_ff, seed, name + ".ff1", relu=True)
         self.ff2 = Linear(d_ff, d_model, seed, name + ".ff2")
         self.ln1 = LayerNorm(d_model, name + ".ln1")
         self.ln2 = LayerNorm(d_model, name + ".ln2")
 
     def forward(self, x: Tensor) -> Tensor:
-        h = self.ln1.forward(T.add(x, self.attn.forward(x)))
-        ff = self.ff2.forward(T.relu(self.ff1.forward(h)))
-        return self.ln2.forward(T.add(h, ff))
+        h = self.ln1.forward(x, self.attn.Wo, self.attn.forward(x))
+        return self.ln2.forward(h, self.ff2, self.ff1.forward(h))
 
     def parameters(self):
         return (self.attn.parameters() + self.ff1.parameters() + self.ff2.parameters()
@@ -142,8 +163,9 @@ def sinusoidal_positions(n: int, d: int) -> np.ndarray:
 class TransformerEncoder:
     """`n_layers` post-norm blocks over [..., T, d_model] sequences.
 
-    Sinusoidal positions are added on entry; `add_positional=False` is a test
-    hook that restores permutation equivariance.
+    Sinusoidal positions are added on entry, as a constant `[T, d]` table
+    (`tensor.add_const`); `add_positional=False` is a test hook that restores
+    permutation equivariance.
     """
 
     def __init__(self, d_model: int, n_heads: int, n_layers: int, d_ff: int, seed: int, name: str):
@@ -161,8 +183,7 @@ class TransformerEncoder:
         if x.shape[-1] != self.d_model:
             raise ShapeError(f"encoder expects d_model={self.d_model}, got {x.shape}")
         if add_positional:
-            table = sinusoidal_positions(x.shape[-2], self.d_model)
-            x = T.add(x, Tensor(np.broadcast_to(table, x.shape)))
+            x = T.add_const(x, sinusoidal_positions(x.shape[-2], self.d_model))
         for block in self.blocks:
             x = block.forward(x)
         return x

@@ -5,23 +5,33 @@ compute the forward result with numpy and attach a closure producing the
 parent gradients; `backward` walks the recorded graph in reverse topological
 order. Graphs are rebuilt each step and never cached.
 
-Row-structured ops (`matmul`, `linear`, `attention`, `transpose`,
-`add_rowvec`, `mean_axis0`, `softmax_rows`, `layer_norm_rows`, `slice_cols`,
-`concat_cols`) act on the last axis, or the last two, of a `[..., T, d]`
-array: a leading batch axis stacks independent samples, and every sample's
-values are bitwise those of the same op on its own `[T, d]` matrix.
+Row-structured ops (`matmul`, `linear`, `linear_relu`, `residual_norm`,
+`attention`, `transpose`, `add_rowvec`, `add_const`, `mean_axis0`,
+`softmax_rows`, `layer_norm_rows`, `slice_cols`, `concat_cols`) act on the
+last axis, or the last two, of a `[..., T, d]` array: a leading batch axis
+stacks independent samples, and every sample's values are bitwise those of
+the same op on its own `[T, d]` matrix.
 
-`linear` and `attention` are composite nodes: each gives the bits of the
-small graph it stands for (`matmul` then `add_rowvec`; per-head `slice_cols`,
-`matmul`, `transpose`, `scale`, `softmax_rows` and `concat_cols`), with the
-same numpy expressions forward and backward. The model builds its layers
-from them; `add_rowvec`, `slice_cols` and `concat_cols` remain as ops of
-their own, with gradient-check cases, but no layer calls them.
+`linear`, `linear_relu`, `residual_norm` and `attention` are composite
+nodes: each gives the bits of the small graph it stands for (`matmul` then
+`add_rowvec`; `linear` then `relu`; `linear`, `add` and `layer_norm_rows`;
+per-head `slice_cols`, `matmul`, `transpose`, `scale`, `softmax_rows` and
+`concat_cols`), with the same numpy expressions forward and backward, and
+keeps only what its backward reads, never its inner nodes' values. The
+small graph first summed an inner node's gradient into a zero-filled buffer
+of `backward`; skipping that sum can change only the sign of a zero, in it
+and in what is computed from it, and `backward` sums every gradient a node
+returns into such a buffer, where -0.0 becomes +0.0. So every gradient
+keeps its bits. The model builds its layers from these nodes and
+`add_const`; `add`, `relu`, `layer_norm_rows`, `add_rowvec`, `slice_cols`
+and `concat_cols` remain as ops of their own, with gradient-check cases,
+but no layer calls them.
 
 Design constraints honoured throughout:
   * float64 only, row-major storage;
-  * no broadcasting except bias addition over rows (`linear`, `add_rowvec`)
-    and a 2-D weight shared across a stack (`linear`, `matmul`);
+  * no broadcasting except bias addition over rows (`linear`, `add_rowvec`),
+    a 2-D weight shared across a stack (`linear`, `matmul`) and a constant
+    `[T, d]` table added to every sample of a stack (`add_const`);
   * any NaN/Inf appearing at an op boundary raises `NumericError` instead of
     propagating;
   * single-threaded execution per graph, bitwise deterministic.
@@ -234,6 +244,14 @@ def add_scalar(a: Tensor, c: float) -> Tensor:
     return _node(a.data + c, (a,), lambda g: (g,), "add_scalar")
 
 
+def add_const(a: Tensor, c: np.ndarray) -> Tensor:
+    """`a[..., n, d] + c[n, d]` for a constant array shared across the stack:
+    bitwise `add(a, Tensor(np.broadcast_to(c, a.shape)))`, without that copy."""
+    if c.ndim < 2 or a.data.ndim < c.ndim or a.shape[-c.ndim:] != c.shape:
+        raise ShapeError(f"add_const: {c.shape} does not end {a.shape}")
+    return _node(a.data + c, (a,), lambda g: (g,), "add_const")
+
+
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0.0
     return _node(a.data * mask, (a,), lambda g: (g * mask,), "relu")
@@ -304,20 +322,69 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
+def _product(x: Tensor, W: Tensor, b: Tensor, op: str) -> np.ndarray:
+    """`x[..., n, k] @ W[k, m]` with the bias `b[m]` added into the product's
+    own buffer: the forward of `linear` and of the nodes that fuse one."""
+    if (x.data.ndim < 2 or W.data.ndim != 2 or b.data.ndim != 1
+            or x.shape[-1] != W.shape[0] or W.shape[1] != b.shape[0]):
+        raise ShapeError(f"{op}: got {x.shape} @ {W.shape} + {b.shape}")
+    out = x.data @ W.data
+    out += b.data
+    return out
+
+
+def _product_grads(x: np.ndarray, W: np.ndarray, g: np.ndarray) -> tuple:
+    """The gradients of `x @ W + b` for upstream `g`: `matmul`'s, then
+    `add_rowvec`'s bias sum."""
+    return (*_matmul_grads(x, W, g), g.reshape(-1, W.shape[1]).sum(axis=0))
+
+
 def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     """`x[..., n, k] @ W[k, m] + b[m]` as one node: bitwise
     `add_rowvec(matmul(x, W), b)`, with the bias added into the product's
     own buffer. The backward is those two ops' backward expressions."""
-    if (x.data.ndim < 2 or W.data.ndim != 2 or b.data.ndim != 1
-            or x.shape[-1] != W.shape[0] or W.shape[1] != b.shape[0]):
-        raise ShapeError(f"linear: got {x.shape} @ {W.shape} + {b.shape}")
-    out = x.data @ W.data
-    out += b.data
+    out = _product(x, W, b, "linear")
+    return _node(out, (x, W, b), lambda g: _product_grads(x.data, W.data, g), "linear")
+
+
+def linear_relu(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
+    """`relu(linear(x, W, b))` as one node, bitwise, forward and backward.
+
+    It keeps only its output: the mask is `out > 0`, which holds exactly
+    where the pre-activation was positive (a masked entry is +0.0 or -0.0).
+    The pre-activation is screened before masking, as the `linear` node
+    screened it."""
+    out = _ensure_finite(_product(x, W, b, "linear_relu"), "linear_relu")
+    out *= out > 0.0
+    return _node(out, (x, W, b), lambda g: _product_grads(x.data, W.data, g * (out > 0.0)),
+                 "linear_relu")
+
+
+def residual_norm(x: Tensor, h: Tensor, W: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
+                  eps: float = 1e-5) -> Tensor:
+    """A post-norm sublayer's output `LN(x + h @ W + b)` as one node: bitwise
+    `layer_norm_rows(add(x, linear(h, W, b)), gamma, beta, eps)`, forward and
+    backward.
+
+    It keeps `xhat` and `inv` for the norm's backward and reads `h` (a
+    parent) for `W`'s gradient; the product and the sum are temporaries.
+    The sum is screened before it is normalised, as the `add` node screened
+    it."""
+    if x.data.ndim < 2 or h.shape[:-1] != x.shape[:-1] or W.shape[1:] != x.shape[-1:]:
+        raise ShapeError(f"residual_norm: {x.shape} + {h.shape} @ {W.shape}")
+    if gamma.shape != x.shape[-1:] or beta.shape != x.shape[-1:]:
+        raise ShapeError("residual_norm: gamma/beta must be [d]")
+    s = _product(h, W, b, "residual_norm")
+    s += x.data
+    xhat, inv = _standardize(_ensure_finite(s, "residual_norm"), eps)
 
     def back(g):
-        return (*_matmul_grads(x.data, W.data, g), g.reshape(-1, b.shape[0]).sum(axis=0))
+        dx, dgamma, dbeta = _standardize_grads(g, xhat, inv, gamma.data)
+        return (dx, *_product_grads(h.data, W.data, dx), dgamma, dbeta)
 
-    return _node(out, (x, W, b), back, "linear")
+    out = xhat * gamma.data
+    out += beta.data
+    return _node(out, (x, h, W, b, gamma, beta), back, "residual_norm")
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -554,6 +621,28 @@ def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
     return _node(y, (x,), back, "l2_normalize_rows")
 
 
+def _standardize(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of `[..., n, d]` centred and scaled to unit variance over its
+    last axis, and the scales: `(xhat, inv)`."""
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    # `x.var(axis=-1)` computes exactly this, from its own copy of `x - mu`
+    inv = 1.0 / np.sqrt(np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / x.shape[-1] + eps)
+    xhat *= inv
+    return xhat, inv
+
+
+def _standardize_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
+                       gamma: np.ndarray) -> tuple:
+    """The gradients of `xhat * gamma + beta` for upstream `g`: input, gamma, beta."""
+    d = xhat.shape[-1]
+    dgamma = (g * xhat).reshape(-1, d).sum(axis=0)
+    dbeta = g.reshape(-1, d).sum(axis=0)
+    dxhat = g * gamma
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    return inv * (dxhat - m1 - xhat * m2), dgamma, dbeta
+
+
 def layer_norm_rows(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-row standardization of [..., n, d] over its last axis, then
     elementwise affine (gamma, beta)."""
@@ -562,22 +651,9 @@ def layer_norm_rows(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError("layer_norm_rows: gamma/beta must be [d]")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    # `x.var(axis=-1)` computes exactly this, from its own copy of `x - mu`
-    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / d + eps)
-    xhat = xc * inv
-
-    def back(g):
-        dgamma = (g * xhat).reshape(-1, d).sum(axis=0)
-        dbeta = g.reshape(-1, d).sum(axis=0)
-        dxhat = g * gamma.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        dx = inv * (dxhat - m1 - xhat * m2)
-        return (dx, dgamma, dbeta)
-
-    return _node(xhat * gamma.data + beta.data, (x, gamma, beta), back, "layer_norm_rows")
+    xhat, inv = _standardize(x.data, eps)
+    return _node(xhat * gamma.data + beta.data, (x, gamma, beta),
+                 lambda g: _standardize_grads(g, xhat, inv, gamma.data), "layer_norm_rows")
 
 
 def softmax_nll_rows(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import config as cfg_mod
 from . import ltf
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .data import Sample, augment_audio, load_manifest, make_batches
 from .errors import ConfigError, FormatError, NumericError, TrainingAborted
 from .losses import compute_centroids, loss_total
@@ -84,7 +84,8 @@ def pretrain(cfg: dict, data_dir, out_path, log_path=None, resume=None) -> Train
     """Run pre-training and write the final checkpoint plus a JSONL log.
 
     `cfg` is a fully-resolved config document (see `config.resolve_config`).
-    With `resume`, training continues from an epoch-aligned checkpoint using
+    With `resume` (a checkpoint's path, or the `Checkpoint` already loaded
+    from it), training continues from that epoch-aligned checkpoint using
     the configuration stored inside it; an existing log at `log_path` keeps
     the records before the checkpoint (`_kept_log`) and drops the rest.
     """
@@ -93,7 +94,7 @@ def pretrain(cfg: dict, data_dir, out_path, log_path=None, resume=None) -> Train
     manifest = load_manifest(data_dir)
 
     if resume is not None:
-        ck = load_checkpoint(resume)
+        ck = resume if isinstance(resume, Checkpoint) else load_checkpoint(resume)
         cfg = ck.config
         stack, adam = ck.stack, ck.adam
         start_epoch, global_step = ck.epochs_done, ck.step

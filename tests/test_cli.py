@@ -11,6 +11,8 @@ import pytest
 from conftest import TINY_OVERRIDES
 from test_config import MALFORMED
 from test_ltf import ltf_header
+from trimodal import cli as cli_mod
+from trimodal import train as train_mod
 from trimodal.checkpoint import _read_archive, _write_archive, load_checkpoint
 from trimodal.cli import main
 from trimodal.evaluate import ProbeHead, save_probe
@@ -149,6 +151,28 @@ class TestResume:
         assert '"final_loss": null' in out
         report = json.loads(out, parse_constant=lambda c: pytest.fail(f"not JSON: {c}"))
         assert report["epochs"] == 1 and report["final_loss"] is None
+
+    def test_checkpoint_loaded_once(self, cli_env, tmp_path, monkeypatch):
+        # the archive read for the stored config is the one training resumes from
+        cfg = _with({"train": {"epochs": 2, "checkpoint_every": 1}}, tmp_path, "two")
+        assert main(["pretrain", "--config", cfg, "--data", str(cli_env["data"]),
+                     "--out", str(tmp_path / "full.lavc")]) == 0
+        calls = []
+
+        def spy(path):
+            calls.append(path)
+            return load_checkpoint(path)
+
+        monkeypatch.setattr(cli_mod, "load_checkpoint", spy)
+        monkeypatch.setattr(train_mod, "load_checkpoint", spy)
+        ckpt = str(tmp_path / "full.epoch0001.lavc")
+        assert main(["pretrain", "--data", str(cli_env["data"]), "--out",
+                     str(tmp_path / "r.lavc"), "--resume", ckpt]) == 0
+        assert calls == [ckpt]
+        assert (tmp_path / "r.lavc").read_bytes() == (tmp_path / "full.lavc").read_bytes()
+        assert main(["pretrain", "--data", str(cli_env["data"]), "--out",
+                     str(tmp_path / "c.lavc"), "--resume", ckpt, "--epochs", "3"]) == 2
+        assert calls == [ckpt, ckpt]  # a conflicting resume also reads it once
 
 
 class TestDatasetModelMismatch:

@@ -6,7 +6,7 @@ import pytest
 from trimodal import tensor as T
 from trimodal.errors import ShapeError
 from trimodal.gradcheck import max_rel_err
-from trimodal.layers import (EmbeddingTable, Linear, MultiHeadAttention,
+from trimodal.layers import (EmbeddingTable, EncoderBlock, Linear, MultiHeadAttention,
                              TransformerEncoder, mean_pool, sinusoidal_positions)
 from trimodal.rng import Stream
 from trimodal.tensor import Tensor, backward
@@ -51,11 +51,11 @@ class TestLinear:
 
 class TestAttention:
     def test_single_token_is_projected_value_row(self):
+        # the heads before `Wo`, which the enclosing block applies
         mha = MultiHeadAttention(d_model=8, n_heads=2, seed=3, name="attn")
         x = Tensor(Stream(5).normal((1, 8)))
         v = mha.Wv.forward(x)
-        expected = mha.Wo.forward(v)
-        assert np.allclose(mha.forward(x).data, expected.data, atol=1e-12)
+        assert np.allclose(mha.forward(x).data, v.data, atol=1e-12)
 
     def test_attention_rows_are_distributions(self):
         mha = MultiHeadAttention(d_model=8, n_heads=2, seed=3, name="attn")
@@ -88,6 +88,87 @@ class TestAttention:
     def test_heads_must_divide_width(self):
         with pytest.raises(ShapeError):
             MultiHeadAttention(d_model=7, n_heads=2, seed=0, name="bad")
+
+
+def unfused_block(block, x):
+    """The graph of `linear`, `attention`, `add`, `layer_norm_rows` and
+    `relu` nodes that `EncoderBlock.forward` fuses into seven nodes."""
+    a, ln1, ln2 = block.attn, block.ln1, block.ln2
+    heads = T.attention(*(T.linear(x, lin.W, lin.b) for lin in (a.Wq, a.Wk, a.Wv)), a.n_heads)
+    h = T.layer_norm_rows(T.add(x, T.linear(heads, a.Wo.W, a.Wo.b)), ln1.gamma, ln1.beta, ln1.eps)
+    ff = T.linear(T.relu(T.linear(h, block.ff1.W, block.ff1.b)), block.ff2.W, block.ff2.b)
+    return T.layer_norm_rows(T.add(h, ff), ln2.gamma, ln2.beta, ln2.eps)
+
+
+def graph_inside(out):
+    """The nodes between `out` and the leaves (input and parameters), and
+    the arrays their closures keep besides the nodes' outputs."""
+    nodes, seen, todo = [], set(), [out]
+    while todo:
+        t = todo.pop()
+        if id(t) in seen or t._op == "leaf":
+            continue
+        seen.add(id(t))
+        nodes.append(t)
+        todo.extend(t._parents)
+    outputs = {id(t.data) for t in nodes}
+    kept = {id(c.cell_contents): c.cell_contents for t in nodes
+            for c in t._backward.__closure__ or ()
+            if isinstance(c.cell_contents, np.ndarray) and id(c.cell_contents) not in outputs}
+    return nodes, list(kept.values())
+
+
+class TestEncoderBlock:
+    D, H, D_FF = 8, 2, 16
+
+    def block(self):
+        return EncoderBlock(self.D, self.H, self.D_FF, seed=21, name="blk")
+
+    @staticmethod
+    def run(block, forward, x, g):
+        for _, p in block.parameters():
+            p.grad = None
+        xt = Tensor(x, requires_grad=True)
+        out = forward(xt)
+        backward(T.sum_all(T.mul(out, Tensor(g))))
+        return [out.data.tobytes(), xt.grad.tobytes()] + [
+            p.grad.tobytes() for _, p in block.parameters()]
+
+    @pytest.mark.parametrize("upstream", ["random", "zero rows, negative gammas"])
+    @pytest.mark.parametrize("shape", [(5, 8), (3, 4, 8)])
+    def test_bits_match_unfused_graph(self, shape, upstream):
+        block = self.block()
+        s = Stream(22, *shape, upstream)
+        x, g = s.normal(shape), s.normal(shape)
+        for ln in (block.ln1, block.ln2):
+            ln.gamma.data[...] = s.normal(self.D)
+            ln.beta.data[...] = s.normal(self.D)
+        if upstream != "random":
+            g[..., 1, :] = 0.0
+            block.ln2.gamma.data[::2] = -np.abs(block.ln2.gamma.data[::2])
+        pre = T.linear(block.ln1.forward(Tensor(x), block.attn.Wo, block.attn.forward(Tensor(x))),
+                       block.ff1.W, block.ff1.b).data
+        assert (pre < 0).any() and (pre > 0).any()  # the ReLU masks some entries
+        fused = self.run(block, block.forward, x, g)
+        assert fused == self.run(block, lambda xt: unfused_block(block, xt), x, g)
+
+    def test_graph_keeps_a_third_less(self):
+        # One [T, d] sample, T = 5, d = 8, H = 2, d_ff = 16, float64. Seven
+        # nodes whose outputs are six [T, d] arrays and one [T, d_ff]
+        # (2,560 bytes); closures keep the probabilities [H, T, T] and each
+        # norm's xhat [T, d] and inv [T, 1] (1,120 bytes). The unfused graph
+        # has twelve nodes (4,480 bytes of outputs, 1,200 in closures with
+        # the ReLU mask): 3,680 bytes against 5,680.
+        block, x = self.block(), Tensor(Stream(23).normal((5, 8)), requires_grad=True)
+        nodes, kept = graph_inside(block.forward(x))
+        assert sorted(t._op for t in nodes) == [
+            "attention", "linear", "linear", "linear", "linear_relu",
+            "residual_norm", "residual_norm"]
+        assert sum(t.data.nbytes for t in nodes) == 2560
+        assert sum(a.nbytes for a in kept) == 1120
+        nodes, kept = graph_inside(unfused_block(block, x))
+        assert len(nodes) == 12
+        assert sum(t.data.nbytes for t in nodes) + sum(a.nbytes for a in kept) == 5680
 
 
 class TestEncoder:

@@ -186,6 +186,90 @@ class TestLinear:
             T.linear(*(Tensor(np.ones(s)) for s in shapes))
 
 
+def closure_arrays(t):
+    """The numpy arrays a node's backward closure keeps alive."""
+    return [c.cell_contents for c in t._backward.__closure__
+            if isinstance(c.cell_contents, np.ndarray)]
+
+
+class TestFusedOps:
+    """`linear_relu`, `residual_norm` and `add_const` are one node each with
+    the bits of the graph they stand for, forward and backward, on 2-D, 3-D
+    and 4-D inputs; each keeps only what its backward reads."""
+
+    SHAPES = [(5, 6), (3, 4, 6), (2, 3, 1, 6)]
+
+    @staticmethod
+    def run(build, arrays, g):
+        leaves = [leaf(a) for a in arrays]
+        out = build(*leaves)
+        backward(T.sum_all(T.mul(out, Tensor(g))))
+        return [out.data.tobytes()] + [p.grad.tobytes() for p in leaves]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_linear_relu_bits_match_relu_of_linear(self, shape):
+        s = Stream(61, "linear_relu", len(shape))
+        arrays = [s.normal(shape), s.normal((6, 5)), s.normal(5)]
+        g = s.normal(shape[:-1] + (5,))
+        g[..., 0, :] = -np.abs(g[..., 0, :])  # masked entries of negative upstream: -0.0
+        pre = arrays[0] @ arrays[1] + arrays[2]
+        assert (pre < 0).any() and (pre > 0).any()
+        assert (self.run(T.linear_relu, arrays, g)
+                == self.run(lambda x, W, b: T.relu(T.linear(x, W, b)), arrays, g))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_residual_norm_bits_match_layer_norm_of_sum(self, shape):
+        s = Stream(62, "residual_norm", len(shape))
+        arrays = [s.normal(shape), s.normal(shape[:-1] + (4,)), s.normal((4, 6)), s.normal(6),
+                  s.normal(6), s.normal(6)]
+        g = s.normal(shape)
+        g[..., 0, :] = 0.0  # zero upstream rows, with gammas of both signs
+        assert (self.run(T.residual_norm, arrays, g) == self.run(
+            lambda x, h, W, b, gamma, beta: T.layer_norm_rows(
+                T.add(x, T.linear(h, W, b)), gamma, beta), arrays, g))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_add_const_bits_match_add_of_broadcast_copy(self, shape):
+        s = Stream(63, "add_const", len(shape))
+        a, c, g = s.normal(shape), s.normal(shape[-2:]), s.normal(shape)
+        assert (self.run(lambda x: T.add_const(x, c), [a], g)
+                == self.run(lambda x: T.add(x, Tensor(np.broadcast_to(c, shape))), [a], g))
+
+    def test_nodes_keep_only_what_backward_reads(self):
+        x, h = leaf(np.ones((2, 3, 4))), leaf(np.ones((2, 3, 5)))
+        W, b = leaf(np.ones((5, 4))), leaf(np.ones(4))
+        gamma, beta = leaf(np.ones(4)), leaf(np.zeros(4))
+        r = T.linear_relu(h, leaf(np.ones((5, 5))), leaf(np.ones(5)))
+        assert r._op == "linear_relu" and len(r._parents) == 3
+        assert [a is r.data for a in closure_arrays(r)] == [True]  # the mask is `out > 0`
+        out = T.residual_norm(x, h, W, b, gamma, beta)
+        assert out._op == "residual_norm" and out._parents == (x, h, W, b, gamma, beta)
+        assert sorted(a.shape for a in closure_arrays(out)) == [(2, 3, 1), (2, 3, 4)]  # inv, xhat
+        pos = T.add_const(x, np.ones((3, 4)))
+        assert pos._op == "add_const" and pos._parents == (x,)
+        assert pos._backward.__closure__ is None  # no copy of the table
+
+    @pytest.mark.parametrize("shapes", [((3, 4), (3, 4), (5, 4), (4,)),
+                                        ((3, 4), (2, 5), (5, 4), (4,)),
+                                        ((3, 4), (3, 5), (5, 3), (3,)),
+                                        ((3, 4), (3, 5), (6, 4), (4,)),
+                                        ((4,), (5,), (5, 4), (4,))])
+    def test_residual_norm_shape_mismatch(self, shapes):
+        x, h, W, b = (Tensor(np.ones(sh)) for sh in shapes)
+        with pytest.raises(ShapeError):
+            T.residual_norm(x, h, W, b, Tensor(np.ones(4)), Tensor(np.zeros(4)))
+
+    @pytest.mark.parametrize("a,c", [((3, 4), (4,)), ((3, 4), (2, 4)), ((2, 3, 4), (3, 5)),
+                                     ((3, 4), (2, 3, 4))])
+    def test_add_const_shape_mismatch(self, a, c):
+        with pytest.raises(ShapeError):
+            T.add_const(Tensor(np.ones(a)), np.ones(c))
+
+    def test_linear_relu_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            T.linear_relu(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))), Tensor(np.ones(2)))
+
+
 def per_head_attention(q, k, v, n_heads):
     """The per-head graph `tensor.attention` replaces: column slices, one
     scaled product, softmax and product per head, then a concatenation."""
@@ -413,6 +497,12 @@ class TestStackedOps:
         "add_rowvec": lambda x, y: T.add_rowvec(x, Tensor(TestStackedOps.V)),
         "linear": lambda x, y: T.linear(x, Tensor(TestStackedOps.W),
                                         Tensor(TestStackedOps.V[:5])),
+        "linear_relu": lambda x, y: T.linear_relu(x, Tensor(TestStackedOps.W),
+                                                  Tensor(TestStackedOps.V[:5])),
+        "residual_norm": lambda x, y: T.residual_norm(
+            x, T.slice_cols(x, 0, 5), Tensor(TestStackedOps.W.T), Tensor(TestStackedOps.V),
+            Tensor(TestStackedOps.V + 1.5), Tensor(TestStackedOps.V)),
+        "add_const": lambda x, y: T.add_const(x, TestStackedOps.X[0]),
         "mean_axis0": lambda x, y: T.mean_axis0(x),
         "softmax_rows": lambda x, y: T.softmax_rows(x),
         "layer_norm_rows": lambda x, y: T.layer_norm_rows(
