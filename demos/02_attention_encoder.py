@@ -5,20 +5,21 @@ Run:  python demos/02_attention_encoder.py
 
 import numpy as np
 
-from trimodal.layers import (MultiHeadAttention, TransformerEncoder, mean_pool,
+from trimodal.layers import (LayerNorm, MultiHeadAttention, TransformerEncoder, mean_pool,
                              sinusoidal_positions)
 from trimodal.rng import Stream
 from trimodal.tensor import Tensor
 
-print("== multi-head self-attention over a [T, d_model] sequence ==")
+print("== a self-attention sublayer, LN(x + MHA(x) Wo), over a [T, d_model] sequence ==")
 mha = MultiHeadAttention(d_model=16, n_heads=4, seed=0, name="demo")
+norm = LayerNorm(16, name="demo.ln")
 x = Tensor(Stream(1).normal((6, 16)))
-out = mha.forward(x)
+out = mha.forward(x, norm)
 print("input", x.shape, "-> output", out.shape)
 
 print("\n== attention alone is permutation-equivariant ==")
 perm = Stream(2).permutation(6)
-swapped = mha.forward(Tensor(x.data[perm]))
+swapped = mha.forward(Tensor(x.data[perm]), norm)
 print("max |out[perm] - out_of_permuted| =", np.abs(out.data[perm] - swapped.data).max())
 
 print("\n== the encoder adds sinusoidal positions, breaking that symmetry ==")

@@ -151,26 +151,42 @@ def _case_linear(s):
     return [x, W, b, sx], lambda: _sum2(T.linear(x, W, b), T.linear(sx, W, b))
 
 
-def _case_linear_relu(s):
-    x, W, sx = _leaf(s, (4, 3)), _leaf(s, (3, 2)), _leaf(s, (2, 2, 3))
-    # a bias that keeps every pre-activation 0.05 or more from the kink
-    pre = np.concatenate([x.data @ W.data, (sx.data @ W.data).reshape(-1, 2)])
-    bias = s.uniform(2) * 2.0 - 1.0
-    for j in range(2):
+def _off_kink_bias(s, products) -> np.ndarray:
+    """A bias that keeps every pre-activation `product + bias` 0.05 or more
+    from the ReLU's kink, for `[..., m]` products."""
+    pre = np.concatenate([p.reshape(-1, p.shape[-1]) for p in products])
+    bias = s.uniform(pre.shape[1]) * 2.0 - 1.0
+    for j in range(pre.shape[1]):
         while np.abs(pre[:, j] + bias[j]).min() < 0.05:
             bias[j] += 0.1
-    b = Tensor(bias, requires_grad=True)
+    return bias
+
+
+def _case_linear_relu(s):
+    x, W, sx = _leaf(s, (4, 3)), _leaf(s, (3, 2)), _leaf(s, (2, 2, 3))
+    b = Tensor(_off_kink_bias(s, [x.data @ W.data, sx.data @ W.data]), requires_grad=True)
     return [x, W, b, sx], lambda: _sum2(T.linear_relu(x, W, b), T.linear_relu(sx, W, b))
 
 
-def _case_residual_norm(s):
-    # LN(x + h @ W + b) on a [3, 4] sample (h [3, 2]) and a [2, 2, 3] stack (h [2, 2, 2])
-    x, h, W, b = _leaf(s, (3, 4)), _leaf(s, (3, 2)), _leaf(s, (2, 4)), _leaf(s, (4,))
+def _case_attention_sublayer(s):
+    # LN(x + MHA(x) Wo + bo), 2 heads of width 2, on a [3, 4] sample and a [2, 2, 4] stack
+    x, sx = _leaf(s, (3, 4)), _leaf(s, (2, 2, 4))
+    params = [_leaf(s, shape) for _ in range(4) for shape in ((4, 4), (4,))]
     gamma, beta = _leaf(s, (4,), 0.5, 1.5), _leaf(s, (4,), -0.5, 0.5)
-    sx, sh, sW, sb = _leaf(s, (2, 2, 3)), _leaf(s, (2, 2, 2)), _leaf(s, (2, 3)), _leaf(s, (3,))
-    sgamma, sbeta = _leaf(s, (3,), 0.5, 1.5), _leaf(s, (3,), -0.5, 0.5)
-    return [x, h, W, b, gamma, beta, sx, sh, sW, sb, sgamma, sbeta], lambda: _sum2(
-        T.residual_norm(x, h, W, b, gamma, beta), T.residual_norm(sx, sh, sW, sb, sgamma, sbeta))
+    return [x, sx, *params, gamma, beta], lambda: _sum2(
+        T.attention_sublayer(x, *params, gamma, beta, 2),
+        T.attention_sublayer(sx, *params, gamma, beta, 2))
+
+
+def _case_feedforward_sublayer(s):
+    # LN(x + relu(x W1 + b1) W2 + b2) on a [3, 3] sample and a [2, 2, 3] stack, d_ff 4
+    x, W1, sx = _leaf(s, (3, 3)), _leaf(s, (3, 4)), _leaf(s, (2, 2, 3))
+    W2, b2 = _leaf(s, (4, 3)), _leaf(s, (3,))
+    gamma, beta = _leaf(s, (3,), 0.5, 1.5), _leaf(s, (3,), -0.5, 0.5)
+    b1 = Tensor(_off_kink_bias(s, [x.data @ W1.data, sx.data @ W1.data]), requires_grad=True)
+    return [x, W1, b1, W2, b2, gamma, beta, sx], lambda: _sum2(
+        T.feedforward_sublayer(x, W1, b1, W2, b2, gamma, beta),
+        T.feedforward_sublayer(sx, W1, b1, W2, b2, gamma, beta))
 
 
 def _case_add_const(s):
@@ -266,9 +282,10 @@ OP_CASES = {
     "scale": _case_scale, "add_scalar": _case_add_scalar, "relu": _case_relu,
     "exp": _case_exp, "log": _case_log, "matmul": _case_matmul,
     "transpose": _case_transpose, "dot": _case_dot, "linear": _case_linear,
-    "linear_relu": _case_linear_relu, "residual_norm": _case_residual_norm,
-    "add_const": _case_add_const, "add_rowvec": _case_add_rowvec,
-    "attention": _case_attention,
+    "linear_relu": _case_linear_relu, "add_const": _case_add_const,
+    "add_rowvec": _case_add_rowvec, "attention": _case_attention,
+    "attention_sublayer": _case_attention_sublayer,
+    "feedforward_sublayer": _case_feedforward_sublayer,
     "sum_all": _case_sum_all, "mean_axis0": _case_mean_axis0,
     "logsumexp_all": _case_logsumexp_all, "stack_rows": _case_stack_rows,
     "concat_cols": _case_concat_cols, "slice_cols": _case_slice_cols,

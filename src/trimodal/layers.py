@@ -1,10 +1,11 @@
 """Neural building blocks: linear maps, layer norm, multi-head self-attention,
 transformer encoder stacks, token embeddings, positional encoding, pooling.
 
-An encoder block is three projection nodes, one attention node and three
-fused nodes (`tensor.residual_norm` twice, `tensor.linear_relu` once), so
-its graph keeps only what backward reads: no residual sum, no ReLU
-pre-activation, and no output of `Wo` or `ff2`, which only feed a sum.
+An encoder block is two graph nodes, one per post-norm sublayer
+(`tensor.attention_sublayer` and `tensor.feedforward_sublayer`). Each keeps
+its output, its norm's scales and, for attention, the probabilities; its
+backward rebuilds the projections, the heads' output and the ReLU hidden
+from its input.
 
 Sequence layers take `[..., T, d]`: a `[T, d]` sample, or `[B, T, d]` for B
 samples of one length T. Each sample's output is bitwise what it gets on its
@@ -65,8 +66,10 @@ class MLP:
 
 
 class LayerNorm:
-    """The post-norm step of a residual sublayer: LN(x + proj(h)), normalised
-    over the last axis, then scaled by gamma and shifted by beta."""
+    """The post-norm step of a residual sublayer: LN(x + sublayer(x)),
+    normalised over the last axis, then scaled by gamma and shifted by beta.
+    `MultiHeadAttention.forward` takes the norm that closes it; `forward`
+    here runs the feed-forward sublayer this norm closes."""
 
     def __init__(self, d: int, name: str, eps: float = 1e-5):
         self.name = name
@@ -74,23 +77,19 @@ class LayerNorm:
         self.gamma = Tensor(np.ones(d), requires_grad=True)
         self.beta = Tensor(np.zeros(d), requires_grad=True)
 
-    def forward(self, x: Tensor, proj: Linear, h: Tensor) -> Tensor:
-        """One `tensor.residual_norm` node: `proj`'s product, the residual sum
-        and the norm, keeping neither the product nor the sum."""
-        return T.residual_norm(x, h, proj.W, proj.b, self.gamma, self.beta, self.eps)
+    def forward(self, x: Tensor, ff1: Linear, ff2: Linear) -> Tensor:
+        """LN(x + relu(x W1 + b1) W2 + b2) as one `tensor.feedforward_sublayer`
+        node, which keeps neither the hidden nor the sum."""
+        return T.feedforward_sublayer(x, ff1.W, ff1.b, ff2.W, ff2.b, self.gamma, self.beta,
+                                      self.eps)
 
     def parameters(self):
         return [(self.name + ".gamma", self.gamma), (self.name + ".beta", self.beta)]
 
 
 class MultiHeadAttention:
-    """Scaled dot-product self-attention over [..., T, d_model] sequences.
-
-    The query, key and value projections feed one `tensor.attention` node,
-    which runs every head; `forward` returns its concatenated heads. The
-    output projection `Wo` is a parameter of this layer, but the enclosing
-    block applies it, in one node with the residual sum and the layer norm.
-    """
+    """Scaled dot-product self-attention over [..., T, d_model] sequences,
+    with its output projection `Wo`, as a post-norm residual sublayer."""
 
     def __init__(self, d_model: int, n_heads: int, seed: int, name: str):
         if d_model % n_heads != 0:
@@ -103,11 +102,15 @@ class MultiHeadAttention:
         self.Wv = Linear(d_model, d_model, seed, name + ".Wv")
         self.Wo = Linear(d_model, d_model, seed, name + ".Wo")
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, norm: LayerNorm) -> Tensor:
+        """LN(x + MHA(x) Wo + bo) under `norm`, as one
+        `tensor.attention_sublayer` node, which keeps the probabilities and
+        none of q, k, v, the heads' output or the sum."""
         if x.data.ndim < 2 or x.shape[-1] != self.d_model:
             raise ShapeError(f"attention input must be [..., T, {self.d_model}], got {x.shape}")
-        return T.attention(self.Wq.forward(x), self.Wk.forward(x), self.Wv.forward(x),
-                           self.n_heads)
+        return T.attention_sublayer(x, self.Wq.W, self.Wq.b, self.Wk.W, self.Wk.b,
+                                    self.Wv.W, self.Wv.b, self.Wo.W, self.Wo.b,
+                                    norm.gamma, norm.beta, self.n_heads, norm.eps)
 
     def parameters(self):
         return (self.Wq.parameters() + self.Wk.parameters()
@@ -117,26 +120,27 @@ class MultiHeadAttention:
 class EncoderBlock:
     """Post-norm transformer block: h = LN(x + MHA(x)), then LN(h + FF(h)).
 
-    Seven graph nodes: the `Wq`, `Wk`, `Wv` linears and the attention node,
-    `ln1`'s `residual_norm` (with `Wo`), `ff1`'s `linear_relu` and `ln2`'s
-    `residual_norm` (with `ff2`). Values and gradients are bitwise those of
-    the unfused graph (`linear`, `add`, `relu` and `layer_norm_rows` nodes,
-    twelve in all). Per [T, d] sample the graph keeps the seven outputs (six
-    [T, d], one [T, d_ff]), the attention probabilities [H, T, T], and each
-    norm's `xhat` [T, d] and `inv` [T, 1]: 8 (8 T d + T d_ff + H T^2 + 2 T)
-    bytes, against 8 (12 T d + 2 T d_ff + H T^2 + 2 T) + T d_ff unfused.
+    Two graph nodes, one per sublayer: `attn` with `ln1`
+    (`tensor.attention_sublayer`) and `ln2` with `ff1` and `ff2`
+    (`tensor.feedforward_sublayer`). Values and gradients are bitwise those
+    of the unfused graph (`linear`, `attention`, `add`, `relu` and
+    `layer_norm_rows` nodes, twelve in all). Per [T, d] sample the graph
+    keeps the two [T, d] outputs, the attention probabilities [H, T, T], and
+    each norm's `xhat` [T, d] and `inv` [T, 1]: 8 (4 T d + H T^2 + 2 T)
+    bytes, against 8 (12 T d + 2 T d_ff + H T^2 + 2 T) + T d_ff unfused. The
+    rest (q, k, v, the heads' output and the ReLU hidden) is rebuilt from
+    the sublayer's input in backward.
     """
 
     def __init__(self, d_model: int, n_heads: int, d_ff: int, seed: int, name: str):
         self.attn = MultiHeadAttention(d_model, n_heads, seed, name + ".attn")
-        self.ff1 = Linear(d_model, d_ff, seed, name + ".ff1", relu=True)
+        self.ff1 = Linear(d_model, d_ff, seed, name + ".ff1")
         self.ff2 = Linear(d_ff, d_model, seed, name + ".ff2")
         self.ln1 = LayerNorm(d_model, name + ".ln1")
         self.ln2 = LayerNorm(d_model, name + ".ln2")
 
     def forward(self, x: Tensor) -> Tensor:
-        h = self.ln1.forward(x, self.attn.Wo, self.attn.forward(x))
-        return self.ln2.forward(h, self.ff2, self.ff1.forward(h))
+        return self.ln2.forward(self.attn.forward(x, self.ln1), self.ff1, self.ff2)
 
     def parameters(self):
         return (self.attn.parameters() + self.ff1.parameters() + self.ff2.parameters()

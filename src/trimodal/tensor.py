@@ -5,27 +5,33 @@ compute the forward result with numpy and attach a closure producing the
 parent gradients; `backward` walks the recorded graph in reverse topological
 order. Graphs are rebuilt each step and never cached.
 
-Row-structured ops (`matmul`, `linear`, `linear_relu`, `residual_norm`,
-`attention`, `transpose`, `add_rowvec`, `add_const`, `mean_axis0`,
-`softmax_rows`, `layer_norm_rows`, `slice_cols`, `concat_cols`) act on the
-last axis, or the last two, of a `[..., T, d]` array: a leading batch axis
-stacks independent samples, and every sample's values are bitwise those of
-the same op on its own `[T, d]` matrix.
+Row-structured ops (`matmul`, `linear`, `linear_relu`, `attention`,
+`attention_sublayer`, `feedforward_sublayer`, `transpose`, `add_rowvec`,
+`add_const`, `mean_axis0`, `softmax_rows`, `layer_norm_rows`, `slice_cols`,
+`concat_cols`) act on the last axis, or the last two, of a `[..., T, d]`
+array: a leading batch axis stacks independent samples, and every sample's
+values are bitwise those of the same op on its own `[T, d]` matrix.
 
-`linear`, `linear_relu`, `residual_norm` and `attention` are composite
-nodes: each gives the bits of the small graph it stands for (`matmul` then
-`add_rowvec`; `linear` then `relu`; `linear`, `add` and `layer_norm_rows`;
+`linear`, `linear_relu`, `attention`, `attention_sublayer` and
+`feedforward_sublayer` are composite nodes: each gives the bits of the small
+graph it stands for (`matmul` then `add_rowvec`; `linear` then `relu`;
 per-head `slice_cols`, `matmul`, `transpose`, `scale`, `softmax_rows` and
-`concat_cols`), with the same numpy expressions forward and backward, and
-keeps only what its backward reads, never its inner nodes' values. The
-small graph first summed an inner node's gradient into a zero-filled buffer
-of `backward`; skipping that sum can change only the sign of a zero, in it
-and in what is computed from it, and `backward` sums every gradient a node
-returns into such a buffer, where -0.0 becomes +0.0. So every gradient
+`concat_cols`; a post-norm transformer sublayer of `linear`, `attention` or
+`relu`, `add` and `layer_norm_rows` nodes), with the same numpy expressions
+forward and backward, and keeps only its output and what its backward
+cannot cheaply rebuild: the attention probabilities and a norm's scaled rows
+and scales. Everything else (head splits, q, k, v, the heads' output, the
+ReLU hidden) is rebuilt in backward from the node's parents. The small graph
+summed an inner node's gradient into a zero-filled buffer of `backward`;
+skipping that sum can change only the sign of a zero, in it and in what is
+computed from it, and `backward` sums every gradient a node returns into
+such a buffer, where -0.0 becomes +0.0. A composite node still makes that
+sum (`_summed`) where the inner gradient is a strided view, and adds
+gradients for one input in the order `backward` did, so every gradient
 keeps its bits. The model builds its layers from these nodes and
-`add_const`; `add`, `relu`, `layer_norm_rows`, `add_rowvec`, `slice_cols`
-and `concat_cols` remain as ops of their own, with gradient-check cases,
-but no layer calls them.
+`add_const`; `add`, `relu`, `layer_norm_rows`, `add_rowvec`, `slice_cols`,
+`concat_cols` and `attention` remain as ops of their own, with
+gradient-check cases, but no layer calls them.
 
 Design constraints honoured throughout:
   * float64 only, row-major storage;
@@ -322,14 +328,18 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def _product(x: Tensor, W: Tensor, b: Tensor, op: str) -> np.ndarray:
-    """`x[..., n, k] @ W[k, m]` with the bias `b[m]` added into the product's
-    own buffer: the forward of `linear` and of the nodes that fuse one."""
-    if (x.data.ndim < 2 or W.data.ndim != 2 or b.data.ndim != 1
+def _check_product(x: np.ndarray, W: np.ndarray, b: np.ndarray, op: str) -> None:
+    """Raise unless `x[..., n, k] @ W[k, m] + b[m]` is defined."""
+    if (x.ndim < 2 or W.ndim != 2 or b.ndim != 1
             or x.shape[-1] != W.shape[0] or W.shape[1] != b.shape[0]):
         raise ShapeError(f"{op}: got {x.shape} @ {W.shape} + {b.shape}")
-    out = x.data @ W.data
-    out += b.data
+
+
+def _product(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`x @ W` with the bias `b` added into the product's own buffer: the
+    forward of `linear` and of the nodes that fuse one."""
+    out = x @ W
+    out += b
     return out
 
 
@@ -339,11 +349,23 @@ def _product_grads(x: np.ndarray, W: np.ndarray, g: np.ndarray) -> tuple:
     return (*_matmul_grads(x, W, g), g.reshape(-1, W.shape[1]).sum(axis=0))
 
 
+def _summed(g: np.ndarray) -> np.ndarray:
+    """`g` summed into a zero-filled buffer, as `backward` sums the gradient
+    of a node: a contiguous copy in which -0.0 is +0.0. A composite node
+    does this to an inner gradient that is a strided view before a product
+    reads it, since a product of a strided operand can differ in its last
+    bit."""
+    buf = np.zeros(g.shape)
+    buf += g
+    return buf
+
+
 def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     """`x[..., n, k] @ W[k, m] + b[m]` as one node: bitwise
     `add_rowvec(matmul(x, W), b)`, with the bias added into the product's
     own buffer. The backward is those two ops' backward expressions."""
-    out = _product(x, W, b, "linear")
+    _check_product(x.data, W.data, b.data, "linear")
+    out = _product(x.data, W.data, b.data)
     return _node(out, (x, W, b), lambda g: _product_grads(x.data, W.data, g), "linear")
 
 
@@ -354,37 +376,11 @@ def linear_relu(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     where the pre-activation was positive (a masked entry is +0.0 or -0.0).
     The pre-activation is screened before masking, as the `linear` node
     screened it."""
-    out = _ensure_finite(_product(x, W, b, "linear_relu"), "linear_relu")
+    _check_product(x.data, W.data, b.data, "linear_relu")
+    out = _ensure_finite(_product(x.data, W.data, b.data), "linear_relu")
     out *= out > 0.0
     return _node(out, (x, W, b), lambda g: _product_grads(x.data, W.data, g * (out > 0.0)),
                  "linear_relu")
-
-
-def residual_norm(x: Tensor, h: Tensor, W: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
-                  eps: float = 1e-5) -> Tensor:
-    """A post-norm sublayer's output `LN(x + h @ W + b)` as one node: bitwise
-    `layer_norm_rows(add(x, linear(h, W, b)), gamma, beta, eps)`, forward and
-    backward.
-
-    It keeps `xhat` and `inv` for the norm's backward and reads `h` (a
-    parent) for `W`'s gradient; the product and the sum are temporaries.
-    The sum is screened before it is normalised, as the `add` node screened
-    it."""
-    if x.data.ndim < 2 or h.shape[:-1] != x.shape[:-1] or W.shape[1:] != x.shape[-1:]:
-        raise ShapeError(f"residual_norm: {x.shape} + {h.shape} @ {W.shape}")
-    if gamma.shape != x.shape[-1:] or beta.shape != x.shape[-1:]:
-        raise ShapeError("residual_norm: gamma/beta must be [d]")
-    s = _product(h, W, b, "residual_norm")
-    s += x.data
-    xhat, inv = _standardize(_ensure_finite(s, "residual_norm"), eps)
-
-    def back(g):
-        dx, dgamma, dbeta = _standardize_grads(g, xhat, inv, gamma.data)
-        return (dx, *_product_grads(h.data, W.data, dx), dgamma, dbeta)
-
-    out = xhat * gamma.data
-    out += beta.data
-    return _node(out, (x, h, W, b, gamma, beta), back, "residual_norm")
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -406,6 +402,29 @@ def _keys_t(k: np.ndarray, n_heads: int) -> np.ndarray:
     return np.ascontiguousarray(_swap(_split_heads(k, n_heads)))
 
 
+def _attention_probs(q: np.ndarray, k: np.ndarray, n_heads: int, c: float) -> np.ndarray:
+    """Every head's `softmax_rows(q_h k_h^T c)`, as `[..., H, T, T]`."""
+    scores = _split_heads(q, n_heads) @ _keys_t(k, n_heads)
+    scores *= c
+    return _softmax_last(scores)
+
+
+def _attention_grads(p: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                     g: np.ndarray, n_heads: int, c: float) -> tuple:
+    """The gradients of the concatenated heads `p_h v_h` for upstream `g`,
+    with `p` from `_attention_probs(q, k, n_heads, c)`: q's, k's and v's."""
+    gp, gv = _matmul_grads(p, _split_heads(v, n_heads), _split_heads(g, n_heads))
+    gq, gkt = _matmul_grads(_split_heads(q, n_heads), _keys_t(k, n_heads),
+                            _softmax_grad(p, gp) * c)
+    return _merge_heads(gq), _merge_heads(_swap(gkt)), _merge_heads(gv)
+
+
+def _check_heads(shape: tuple, n_heads: int, op: str) -> None:
+    if len(shape) < 2 or n_heads < 1 or shape[-1] % n_heads:
+        raise ShapeError(f"{op}: [..., T, d] inputs with d divisible by {n_heads} heads, "
+                         f"got {shape}")
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     """Scaled dot-product attention of `[..., T, d]` queries, keys and values
     over `n_heads` heads of width d/H, as one node.
@@ -415,22 +434,103 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     every head's products run on contiguous copies, as the slices were, and
     the backward is those ops' backward expressions. The closure keeps only
     the probabilities; the head splits are rebuilt from the inputs."""
-    if (q.data.ndim < 2 or k.shape != q.shape or v.shape != q.shape
-            or n_heads < 1 or q.shape[-1] % n_heads):
-        raise ShapeError(f"attention: q, k, v must share one [..., T, d] shape with d "
-                         f"divisible by {n_heads} heads, got {q.shape}, {k.shape}, {v.shape}")
+    if k.shape != q.shape or v.shape != q.shape:
+        raise ShapeError(f"attention: q, k, v must share one shape, "
+                         f"got {q.shape}, {k.shape}, {v.shape}")
+    _check_heads(q.shape, n_heads, "attention")
     c = 1.0 / math.sqrt(q.shape[-1] // n_heads)
-    scores = _split_heads(q.data, n_heads) @ _keys_t(k.data, n_heads)
-    scores *= c
-    p = _softmax_last(scores)
+    p = _attention_probs(q.data, k.data, n_heads, c)
+    return _node(_merge_heads(p @ _split_heads(v.data, n_heads)), (q, k, v),
+                 lambda g: _attention_grads(p, q.data, k.data, v.data, g, n_heads, c),
+                 "attention")
+
+
+def _check_norm(d: int, gamma: Tensor, beta: Tensor, op: str) -> None:
+    if gamma.shape != (d,) or beta.shape != (d,):
+        raise ShapeError(f"{op}: gamma/beta must be [{d}], got {gamma.shape}, {beta.shape}")
+
+
+def attention_sublayer(x: Tensor, Wq: Tensor, bq: Tensor, Wk: Tensor, bk: Tensor,
+                       Wv: Tensor, bv: Tensor, Wo: Tensor, bo: Tensor, gamma: Tensor,
+                       beta: Tensor, n_heads: int, eps: float = 1e-5) -> Tensor:
+    """A post-norm self-attention sublayer `LN(x + MHA(x) Wo + bo)` over
+    `n_heads` heads, as one node.
+
+    Bitwise the graph `layer_norm_rows(add(x, linear(attention(linear(x, Wq,
+    bq), linear(x, Wk, bk), linear(x, Wv, bv), n_heads), Wo, bo)), gamma,
+    beta, eps)`, forward and backward, with that graph's non-finite screens
+    (q, k, v, the heads' output and the residual sum). It keeps the `[...,
+    H, T, T]` probabilities and the norm's `xhat` and `inv`. Backward
+    rebuilds q, k, v and the heads' output from `x`, a parent; it sums q's,
+    k's and v's gradients into zero-filled buffers before their products
+    read them, as the graph did, and adds `x`'s four contributions in the
+    graph's order (norm, q, k, v)."""
+    op = "attention_sublayer"
+    _check_heads(x.shape, n_heads, op)
+    d = x.shape[-1]
+    projections = ((Wq, bq), (Wk, bk), (Wv, bv))
+    for W, b in (*projections, (Wo, bo)):
+        if W.shape != (d, d) or b.shape != (d,):
+            raise ShapeError(f"{op}: projections must be [{d}, {d}] + [{d}], "
+                             f"got {W.shape} + {b.shape}")
+    _check_norm(d, gamma, beta, op)
+    c = 1.0 / math.sqrt(d // n_heads)
+    q, k, v = (_ensure_finite(_product(x.data, W.data, b.data), op) for W, b in projections)
+    p = _attention_probs(q, k, n_heads, c)
+    s = _product(_ensure_finite(_merge_heads(p @ _split_heads(v, n_heads)), op),
+                 Wo.data, bo.data)
+    s += x.data
+    xhat, inv = _standardize(_ensure_finite(s, op), eps)
 
     def back(g):
-        gp, gv = _matmul_grads(p, _split_heads(v.data, n_heads), _split_heads(g, n_heads))
-        gq, gkt = _matmul_grads(_split_heads(q.data, n_heads), _keys_t(k.data, n_heads),
-                                _softmax_grad(p, gp) * c)
-        return (_merge_heads(gq), _merge_heads(_swap(gkt)), _merge_heads(gv))
+        dx, dgamma, dbeta = _standardize_grads(g, xhat, inv, gamma.data)
+        qkv = [_product(x.data, W.data, b.data) for W, b in projections]
+        heads = _merge_heads(p @ _split_heads(qkv[2], n_heads))
+        dheads, dWo, dbo = _product_grads(heads, Wo.data, dx)
+        grads = []
+        for (W, _), ga in zip(projections, _attention_grads(p, *qkv, dheads, n_heads, c)):
+            dxa, dW, db = _product_grads(x.data, W.data, _summed(ga))
+            dx += dxa
+            grads += [dW, db]
+        return (dx, *grads, dWo, dbo, dgamma, dbeta)
 
-    return _node(_merge_heads(p @ _split_heads(v.data, n_heads)), (q, k, v), back, "attention")
+    return _node(xhat * gamma.data + beta.data,
+                 (x, Wq, bq, Wk, bk, Wv, bv, Wo, bo, gamma, beta), back, op)
+
+
+def feedforward_sublayer(x: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor,
+                         gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+    """A post-norm feed-forward sublayer `LN(x + relu(x W1 + b1) W2 + b2)`
+    as one node.
+
+    Bitwise the graph `layer_norm_rows(add(x, linear(linear_relu(x, W1, b1),
+    W2, b2)), gamma, beta, eps)`, forward and backward, with that graph's
+    non-finite screens (the pre-activation and the residual sum). It keeps
+    the norm's `xhat` and `inv`; backward rebuilds the ReLU hidden from `x`,
+    a parent, and its mask from the hidden, as `linear_relu` does."""
+    op = "feedforward_sublayer"
+    _check_product(x.data, W1.data, b1.data, op)
+    d = x.shape[-1]
+    if W2.shape != (W1.shape[1], d) or b2.shape != (d,):
+        raise ShapeError(f"{op}: W2, b2 must be [{W1.shape[1]}, {d}], [{d}], "
+                         f"got {W2.shape}, {b2.shape}")
+    _check_norm(d, gamma, beta, op)
+    hidden = _ensure_finite(_product(x.data, W1.data, b1.data), op)
+    hidden *= hidden > 0.0
+    s = _product(hidden, W2.data, b2.data)
+    s += x.data
+    xhat, inv = _standardize(_ensure_finite(s, op), eps)
+
+    def back(g):
+        dx, dgamma, dbeta = _standardize_grads(g, xhat, inv, gamma.data)
+        hidden = _product(x.data, W1.data, b1.data)
+        mask = hidden > 0.0
+        hidden *= mask
+        dhidden, dW2, db2 = _product_grads(hidden, W2.data, dx)
+        dxh, dW1, db1 = _product_grads(x.data, W1.data, dhidden * mask)
+        return (dx + dxh, dW1, db1, dW2, db2, dgamma, dbeta)
+
+    return _node(xhat * gamma.data + beta.data, (x, W1, b1, W2, b2, gamma, beta), back, op)
 
 
 def add_rowvec(x: Tensor, b: Tensor) -> Tensor:
@@ -648,9 +748,7 @@ def layer_norm_rows(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -
     elementwise affine (gamma, beta)."""
     if x.data.ndim < 2:
         raise ShapeError(f"layer_norm_rows: expected at least 2-D, got {x.shape}")
-    d = x.shape[-1]
-    if gamma.shape != (d,) or beta.shape != (d,):
-        raise ShapeError("layer_norm_rows: gamma/beta must be [d]")
+    _check_norm(x.shape[-1], gamma, beta, "layer_norm_rows")
     xhat, inv = _standardize(x.data, eps)
     return _node(xhat * gamma.data + beta.data, (x, gamma, beta),
                  lambda g: _standardize_grads(g, xhat, inv, gamma.data), "layer_norm_rows")

@@ -76,5 +76,6 @@ class TestOpCoverage:
         adam.step(cfg["optim"]["lr_max"])
         fused = [s for s in man.samples("test1") if s.audio is not None]
         embed_frozen(stack, [s.video for s in fused], [s.audio for s in fused])
-        assert {"attention", "linear", "linear_relu", "residual_norm", "add_const"} <= seen
+        assert {"attention_sublayer", "feedforward_sublayer", "linear", "linear_relu",
+                "add_const"} <= seen
         assert seen - set(OP_CASES) <= self.UNCHECKED, sorted(seen - set(OP_CASES))

@@ -6,8 +6,9 @@ import pytest
 from trimodal import tensor as T
 from trimodal.errors import ShapeError
 from trimodal.gradcheck import max_rel_err
-from trimodal.layers import (EmbeddingTable, EncoderBlock, Linear, MultiHeadAttention,
-                             TransformerEncoder, mean_pool, sinusoidal_positions)
+from trimodal.layers import (EmbeddingTable, EncoderBlock, LayerNorm, Linear,
+                             MultiHeadAttention, TransformerEncoder, mean_pool,
+                             sinusoidal_positions)
 from trimodal.rng import Stream
 from trimodal.tensor import Tensor, backward
 
@@ -49,40 +50,46 @@ class TestLinear:
         assert np.array_equal(layer.b.data, np.zeros(20))
 
 
+def kept_probabilities(out):
+    """The `[..., H, T, T]` attention probabilities an `attention_sublayer`
+    node keeps for its backward."""
+    kept = [c.cell_contents for c in out._backward.__closure__
+            if isinstance(c.cell_contents, np.ndarray)
+            and c.cell_contents.ndim == out.data.ndim + 1]
+    assert out._op == "attention_sublayer" and len(kept) == 1
+    return kept[0]
+
+
 class TestAttention:
     def test_single_token_is_projected_value_row(self):
-        # the heads before `Wo`, which the enclosing block applies
-        mha = MultiHeadAttention(d_model=8, n_heads=2, seed=3, name="attn")
+        # one token attends only to itself: LN(x + (x Wv + bv) Wo + bo)
+        mha, ln = MultiHeadAttention(d_model=8, n_heads=2, seed=3, name="attn"), LayerNorm(8, "ln")
         x = Tensor(Stream(5).normal((1, 8)))
-        v = mha.Wv.forward(x)
-        assert np.allclose(mha.forward(x).data, v.data, atol=1e-12)
+        expected = T.layer_norm_rows(T.add(x, mha.Wo.forward(mha.Wv.forward(x))),
+                                     ln.gamma, ln.beta, ln.eps)
+        assert np.allclose(mha.forward(x, ln).data, expected.data, atol=1e-12)
 
     def test_attention_rows_are_distributions(self):
-        mha = MultiHeadAttention(d_model=8, n_heads=2, seed=3, name="attn")
-        x = Tensor(Stream(6).normal((5, 8)))
-        q = mha.Wq.forward(x); k = mha.Wk.forward(x)
-        for h in range(mha.n_heads):
-            lo, hi = h * mha.d_head, (h + 1) * mha.d_head
-            scores = T.scale(T.matmul(T.slice_cols(q, lo, hi),
-                                      T.transpose(T.slice_cols(k, lo, hi))),
-                             1.0 / np.sqrt(mha.d_head))
-            p = T.softmax_rows(scores).data
-            assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-12
+        mha, ln = MultiHeadAttention(d_model=8, n_heads=2, seed=3, name="attn"), LayerNorm(8, "ln")
+        for shape in ((5, 8), (3, 5, 8)):
+            p = kept_probabilities(mha.forward(Tensor(Stream(6, *shape).normal(shape)), ln))
+            assert p.shape == shape[:-2] + (2, 5, 5) and (p >= 0.0).all()
+            assert np.abs(p.sum(axis=-1) - 1.0).max() <= 1e-12
 
     def test_permutation_equivariance(self):
-        mha = MultiHeadAttention(d_model=6, n_heads=3, seed=4, name="attn")
+        mha, ln = MultiHeadAttention(d_model=6, n_heads=3, seed=4, name="attn"), LayerNorm(6, "ln")
         x = Stream(7).normal((5, 6))
         perm = Stream(8).permutation(5)
-        out = mha.forward(Tensor(x)).data
-        out_perm = mha.forward(Tensor(x[perm])).data
+        out = mha.forward(Tensor(x), ln).data
+        out_perm = mha.forward(Tensor(x[perm]), ln).data
         assert np.allclose(out[perm], out_perm, atol=1e-12)
 
     def test_gradients_through_attention(self):
-        mha = MultiHeadAttention(d_model=4, n_heads=2, seed=9, name="attn")
+        mha, ln = MultiHeadAttention(d_model=4, n_heads=2, seed=9, name="attn"), LayerNorm(4, "ln")
         x = Tensor(Stream(10).normal((3, 4)), requires_grad=True)
         w = Tensor(Stream(11).uniform((3, 4)) + 0.5)
-        leaves = [x] + [p for _, p in mha.parameters()]
-        err = max_rel_err(leaves, lambda: T.sum_all(T.mul(mha.forward(x), w)))
+        leaves = [x] + [p for _, p in mha.parameters() + ln.parameters()]
+        err = max_rel_err(leaves, lambda: T.sum_all(T.mul(mha.forward(x, ln), w)))
         assert err < 1e-4
 
     def test_heads_must_divide_width(self):
@@ -92,7 +99,7 @@ class TestAttention:
 
 def unfused_block(block, x):
     """The graph of `linear`, `attention`, `add`, `layer_norm_rows` and
-    `relu` nodes that `EncoderBlock.forward` fuses into seven nodes."""
+    `relu` nodes that `EncoderBlock.forward` fuses into two nodes."""
     a, ln1, ln2 = block.attn, block.ln1, block.ln2
     heads = T.attention(*(T.linear(x, lin.W, lin.b) for lin in (a.Wq, a.Wk, a.Wv)), a.n_heads)
     h = T.layer_norm_rows(T.add(x, T.linear(heads, a.Wo.W, a.Wo.b)), ln1.gamma, ln1.beta, ln1.eps)
@@ -119,52 +126,61 @@ def graph_inside(out):
 
 
 class TestEncoderBlock:
-    D, H, D_FF = 8, 2, 16
-
-    def block(self):
-        return EncoderBlock(self.D, self.H, self.D_FF, seed=21, name="blk")
-
     @staticmethod
-    def run(block, forward, x, g):
-        for _, p in block.parameters():
+    def run(params, forward, x, g):
+        for p in params:
             p.grad = None
         xt = Tensor(x, requires_grad=True)
         out = forward(xt)
         backward(T.sum_all(T.mul(out, Tensor(g))))
-        return [out.data.tobytes(), xt.grad.tobytes()] + [
-            p.grad.tobytes() for _, p in block.parameters()]
+        return [out.data.tobytes(), xt.grad.tobytes()] + [p.grad.tobytes() for p in params]
 
     @pytest.mark.parametrize("upstream", ["random", "zero rows, negative gammas"])
-    @pytest.mark.parametrize("shape", [(5, 8), (3, 4, 8)])
+    @pytest.mark.parametrize("shape", [(5, 8), (3, 4, 8), (12, 64), (3, 12, 64)])
     def test_bits_match_unfused_graph(self, shape, upstream):
-        block = self.block()
+        # d 8 with 2 heads, and the desk default d 64 with 4 heads; d_ff 2 d.
+        # One block, then a 2-layer encoder against its blocks unfused.
+        d = shape[-1]
+        encoder = TransformerEncoder(d, 2 if d == 8 else 4, 2, 2 * d, seed=21, name="enc")
         s = Stream(22, *shape, upstream)
         x, g = s.normal(shape), s.normal(shape)
-        for ln in (block.ln1, block.ln2):
-            ln.gamma.data[...] = s.normal(self.D)
-            ln.beta.data[...] = s.normal(self.D)
+        for block in encoder.blocks:
+            for ln in (block.ln1, block.ln2):
+                ln.gamma.data[...] = s.normal(d)
+                ln.beta.data[...] = s.normal(d)
+            if upstream != "random":
+                block.ln2.gamma.data[::2] = -np.abs(block.ln2.gamma.data[::2])
         if upstream != "random":
             g[..., 1, :] = 0.0
-            block.ln2.gamma.data[::2] = -np.abs(block.ln2.gamma.data[::2])
-        pre = T.linear(block.ln1.forward(Tensor(x), block.attn.Wo, block.attn.forward(Tensor(x))),
-                       block.ff1.W, block.ff1.b).data
+        block = encoder.blocks[0]
+        h = block.attn.forward(Tensor(x), block.ln1)
+        pre = T.linear(h, block.ff1.W, block.ff1.b).data
         assert (pre < 0).any() and (pre > 0).any()  # the ReLU masks some entries
-        fused = self.run(block, block.forward, x, g)
-        assert fused == self.run(block, lambda xt: unfused_block(block, xt), x, g)
+        params = [p for _, p in block.parameters()]
+        assert (self.run(params, block.forward, x, g)
+                == self.run(params, lambda xt: unfused_block(block, xt), x, g))
+
+        def unfused_encoder(xt):
+            for blk in encoder.blocks:
+                xt = unfused_block(blk, xt)
+            return xt
+
+        params = [p for _, p in encoder.parameters()]
+        fused = self.run(params, lambda xt: encoder.forward(xt, add_positional=False), x, g)
+        assert fused == self.run(params, unfused_encoder, x, g)
 
     def test_graph_keeps_a_third_less(self):
-        # One [T, d] sample, T = 5, d = 8, H = 2, d_ff = 16, float64. Seven
-        # nodes whose outputs are six [T, d] arrays and one [T, d_ff]
-        # (2,560 bytes); closures keep the probabilities [H, T, T] and each
-        # norm's xhat [T, d] and inv [T, 1] (1,120 bytes). The unfused graph
-        # has twelve nodes (4,480 bytes of outputs, 1,200 in closures with
-        # the ReLU mask): 3,680 bytes against 5,680.
-        block, x = self.block(), Tensor(Stream(23).normal((5, 8)), requires_grad=True)
+        # One [T, d] sample, T = 5, d = 8, H = 2, d_ff = 16, float64. Two
+        # nodes whose outputs are two [T, d] arrays (640 bytes); closures
+        # keep the probabilities [H, T, T] and each norm's xhat [T, d] and
+        # inv [T, 1] (1,120 bytes). The unfused graph has twelve nodes
+        # (4,480 bytes of outputs, 1,200 in closures with the ReLU mask):
+        # 1,760 bytes against 5,680 (31%).
+        block = EncoderBlock(8, 2, 16, seed=21, name="blk")
+        x = Tensor(Stream(23).normal((5, 8)), requires_grad=True)
         nodes, kept = graph_inside(block.forward(x))
-        assert sorted(t._op for t in nodes) == [
-            "attention", "linear", "linear", "linear", "linear_relu",
-            "residual_norm", "residual_norm"]
-        assert sum(t.data.nbytes for t in nodes) == 2560
+        assert sorted(t._op for t in nodes) == ["attention_sublayer", "feedforward_sublayer"]
+        assert sum(t.data.nbytes for t in nodes) == 640
         assert sum(a.nbytes for a in kept) == 1120
         nodes, kept = graph_inside(unfused_block(block, x))
         assert len(nodes) == 12

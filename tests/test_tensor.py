@@ -192,10 +192,23 @@ def closure_arrays(t):
             if isinstance(c.cell_contents, np.ndarray)]
 
 
+def attention_graph(x, Wq, bq, Wk, bk, Wv, bv, Wo, bo, gamma, beta, n_heads):
+    """The graph `attention_sublayer` stands for."""
+    heads = T.attention(T.linear(x, Wq, bq), T.linear(x, Wk, bk), T.linear(x, Wv, bv), n_heads)
+    return T.layer_norm_rows(T.add(x, T.linear(heads, Wo, bo)), gamma, beta)
+
+
+def feedforward_graph(x, W1, b1, W2, b2, gamma, beta):
+    """The graph `feedforward_sublayer` stands for."""
+    hidden = T.relu(T.linear(x, W1, b1))
+    return T.layer_norm_rows(T.add(x, T.linear(hidden, W2, b2)), gamma, beta)
+
+
 class TestFusedOps:
-    """`linear_relu`, `residual_norm` and `add_const` are one node each with
-    the bits of the graph they stand for, forward and backward, on 2-D, 3-D
-    and 4-D inputs; each keeps only what its backward reads."""
+    """`linear_relu`, `attention_sublayer`, `feedforward_sublayer` and
+    `add_const` are one node each with the bits of the graph they stand for,
+    forward and backward, on 2-D, 3-D and 4-D inputs; each keeps only what
+    its backward reads."""
 
     SHAPES = [(5, 6), (3, 4, 6), (2, 3, 1, 6)]
 
@@ -217,16 +230,28 @@ class TestFusedOps:
         assert (self.run(T.linear_relu, arrays, g)
                 == self.run(lambda x, W, b: T.relu(T.linear(x, W, b)), arrays, g))
 
+    @pytest.mark.parametrize("n_heads", [1, 2, 3])
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_residual_norm_bits_match_layer_norm_of_sum(self, shape):
-        s = Stream(62, "residual_norm", len(shape))
-        arrays = [s.normal(shape), s.normal(shape[:-1] + (4,)), s.normal((4, 6)), s.normal(6),
+    def test_attention_sublayer_bits_match_unfused(self, shape, n_heads):
+        s = Stream(62, "attention_sublayer", len(shape), n_heads)
+        arrays = [s.normal(shape)] + [s.normal(sh) for _ in range(4) for sh in ((6, 6), (6,))]
+        arrays += [s.normal(6), s.normal(6)]  # gammas of both signs
+        g = s.normal(shape)
+        g[..., 0, :] = 0.0  # zero upstream rows
+        assert (self.run(lambda *a: T.attention_sublayer(*a, n_heads), arrays, g)
+                == self.run(lambda *a: attention_graph(*a, n_heads), arrays, g))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_feedforward_sublayer_bits_match_unfused(self, shape):
+        s = Stream(62, "feedforward_sublayer", len(shape))
+        arrays = [s.normal(shape), s.normal((6, 5)), s.normal(5), s.normal((5, 6)), s.normal(6),
                   s.normal(6), s.normal(6)]
         g = s.normal(shape)
         g[..., 0, :] = 0.0  # zero upstream rows, with gammas of both signs
-        assert (self.run(T.residual_norm, arrays, g) == self.run(
-            lambda x, h, W, b, gamma, beta: T.layer_norm_rows(
-                T.add(x, T.linear(h, W, b)), gamma, beta), arrays, g))
+        pre = arrays[0] @ arrays[1] + arrays[2]
+        assert (pre < 0).any() and (pre > 0).any()
+        assert (self.run(T.feedforward_sublayer, arrays, g)
+                == self.run(feedforward_graph, arrays, g))
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_add_const_bits_match_add_of_broadcast_copy(self, shape):
@@ -237,27 +262,47 @@ class TestFusedOps:
 
     def test_nodes_keep_only_what_backward_reads(self):
         x, h = leaf(np.ones((2, 3, 4))), leaf(np.ones((2, 3, 5)))
-        W, b = leaf(np.ones((5, 4))), leaf(np.ones(4))
         gamma, beta = leaf(np.ones(4)), leaf(np.zeros(4))
         r = T.linear_relu(h, leaf(np.ones((5, 5))), leaf(np.ones(5)))
         assert r._op == "linear_relu" and len(r._parents) == 3
         assert [a is r.data for a in closure_arrays(r)] == [True]  # the mask is `out > 0`
-        out = T.residual_norm(x, h, W, b, gamma, beta)
-        assert out._op == "residual_norm" and out._parents == (x, h, W, b, gamma, beta)
-        assert sorted(a.shape for a in closure_arrays(out)) == [(2, 3, 1), (2, 3, 4)]  # inv, xhat
+        params = [leaf(Stream(64, i).normal(sh)) for i in range(4) for sh in ((4, 4), (4,))]
+        out = T.attention_sublayer(x, *params, gamma, beta, 2)
+        assert out._op == "attention_sublayer" and out._parents == (x, *params, gamma, beta)
+        # inv, xhat and the probabilities [B, H, T, T]
+        assert sorted(a.shape for a in closure_arrays(out)) == [(2, 2, 3, 3), (2, 3, 1),
+                                                               (2, 3, 4)]
+        ff = [leaf(np.ones((4, 5))), leaf(np.ones(5)), leaf(np.ones((5, 4))), leaf(np.ones(4))]
+        out = T.feedforward_sublayer(x, *ff, gamma, beta)
+        assert out._op == "feedforward_sublayer" and out._parents == (x, *ff, gamma, beta)
+        assert sorted(a.shape for a in closure_arrays(out)) == [(2, 3, 1), (2, 3, 4)]
         pos = T.add_const(x, np.ones((3, 4)))
         assert pos._op == "add_const" and pos._parents == (x,)
         assert pos._backward.__closure__ is None  # no copy of the table
 
-    @pytest.mark.parametrize("shapes", [((3, 4), (3, 4), (5, 4), (4,)),
-                                        ((3, 4), (2, 5), (5, 4), (4,)),
-                                        ((3, 4), (3, 5), (5, 3), (3,)),
-                                        ((3, 4), (3, 5), (6, 4), (4,)),
-                                        ((4,), (5,), (5, 4), (4,))])
-    def test_residual_norm_shape_mismatch(self, shapes):
-        x, h, W, b = (Tensor(np.ones(sh)) for sh in shapes)
+    @pytest.mark.parametrize("shapes,n_heads", [
+        (((4,), (4, 4), (4,), (4,)), 2),        # a vector, not [..., T, d]
+        (((3, 4), (4, 4), (4,), (4,)), 3),      # heads do not divide d
+        (((3, 4), (4, 4), (4,), (4,)), 0),
+        (((3, 4), (4, 5), (5,), (4,)), 2),      # projections [d, d]
+        (((3, 4), (4, 4), (3,), (4,)), 2),      # biases [d]
+        (((3, 4), (4, 4), (4,), (3,)), 2)])     # gamma, beta [d]
+    def test_attention_sublayer_shape_mismatch(self, shapes, n_heads):
+        x, W, b, gamma = (Tensor(np.ones(sh)) for sh in shapes)
         with pytest.raises(ShapeError):
-            T.residual_norm(x, h, W, b, Tensor(np.ones(4)), Tensor(np.zeros(4)))
+            T.attention_sublayer(x, W, b, W, b, W, b, W, b, gamma, gamma, n_heads)
+
+    @pytest.mark.parametrize("shapes", [((3, 4), (5, 2), (2,), (2, 4), (4,)),
+                                        ((3, 4), (4, 2), (3,), (2, 4), (4,)),
+                                        ((3, 4), (4, 2), (2,), (3, 4), (4,)),
+                                        ((3, 4), (4, 2), (2,), (2, 5), (4,)),
+                                        ((4,), (4, 2), (2,), (2, 4), (4,)),
+                                        ((3, 4), (4, 2), (2,), (2, 4), (3,)),
+                                        ((3, 5), (5, 2), (2,), (2, 5), (5,))])  # gamma [4]
+    def test_feedforward_sublayer_shape_mismatch(self, shapes):
+        x, W1, b1, W2, b2 = (Tensor(np.ones(sh)) for sh in shapes)
+        with pytest.raises(ShapeError):
+            T.feedforward_sublayer(x, W1, b1, W2, b2, Tensor(np.ones(4)), Tensor(np.zeros(4)))
 
     @pytest.mark.parametrize("a,c", [((3, 4), (4,)), ((3, 4), (2, 4)), ((2, 3, 4), (3, 5)),
                                      ((3, 4), (2, 3, 4))])
@@ -489,6 +534,7 @@ class TestStackedOps:
     Y = Stream(32, "stacked").normal((3, 6, 4))
     W = Stream(33, "stacked").normal((6, 5))
     V = Stream(34, "stacked").normal(6)
+    SQUARE = [Stream(35, "stacked", i).normal(sh) for i in range(4) for sh in ((6, 6), (6,))]
 
     CASES = {
         "matmul-shared": lambda x, y: T.matmul(x, Tensor(TestStackedOps.W)),
@@ -499,9 +545,12 @@ class TestStackedOps:
                                         Tensor(TestStackedOps.V[:5])),
         "linear_relu": lambda x, y: T.linear_relu(x, Tensor(TestStackedOps.W),
                                                   Tensor(TestStackedOps.V[:5])),
-        "residual_norm": lambda x, y: T.residual_norm(
-            x, T.slice_cols(x, 0, 5), Tensor(TestStackedOps.W.T), Tensor(TestStackedOps.V),
-            Tensor(TestStackedOps.V + 1.5), Tensor(TestStackedOps.V)),
+        "attention_sublayer": lambda x, y: T.attention_sublayer(
+            x, *(Tensor(a) for a in TestStackedOps.SQUARE), Tensor(TestStackedOps.V + 1.5),
+            Tensor(TestStackedOps.V), 2),
+        "feedforward_sublayer": lambda x, y: T.feedforward_sublayer(
+            x, Tensor(TestStackedOps.W), Tensor(TestStackedOps.V[:5]), Tensor(TestStackedOps.W.T),
+            Tensor(TestStackedOps.V), Tensor(TestStackedOps.V + 1.5), Tensor(TestStackedOps.V)),
         "add_const": lambda x, y: T.add_const(x, TestStackedOps.X[0]),
         "mean_axis0": lambda x, y: T.mean_axis0(x),
         "softmax_rows": lambda x, y: T.softmax_rows(x),
