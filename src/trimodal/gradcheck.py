@@ -65,15 +65,23 @@ def _leaf(stream: Stream, shape, lo=-1.0, hi=1.0) -> Tensor:
     return Tensor(lo + (hi - lo) * u, requires_grad=True)
 
 
-def _wsum(t: Tensor, stream: Stream) -> Tensor:
-    """Weighted sum with fixed random weights: makes upstream grads non-constant."""
-    w = Tensor(stream.uniform(t.shape) + 0.5)
+# `_wsum`'s weights by (stream key, shape): drawn on first use, then reused
+# by every forward, so each forward sees the bits a fresh stream would draw.
+_WEIGHTS: dict[tuple, Tensor] = {}
+
+
+def _wsum(t: Tensor, *key: str) -> Tensor:
+    """Weighted sum with fixed random weights from `Stream(7, *key)`: makes
+    upstream grads non-constant."""
+    w = _WEIGHTS.get((key, t.shape))
+    if w is None:
+        w = _WEIGHTS[key, t.shape] = Tensor(Stream(7, *key).uniform(t.shape) + 0.5)
     return T.sum_all(T.mul(t, w))
 
 
 def _sum2(x: Tensor, y: Tensor) -> Tensor:
     """Two cases' weighted sums added: the 2-D instance and a stacked one."""
-    return T.add(_wsum(x, Stream(7, "w")), _wsum(y, Stream(7, "w", "stacked")))
+    return T.add(_wsum(x, "w"), _wsum(y, "w", "stacked"))
 
 
 def _case_matmul(s):
@@ -81,54 +89,54 @@ def _case_matmul(s):
     a, b = _leaf(s, (4, 5)), _leaf(s, (5, 3))
     sa, sb, sw = _leaf(s, (2, 2, 3)), _leaf(s, (2, 3, 2)), _leaf(s, (3, 2))
     return [a, b, sa, sb, sw], lambda: T.add(
-        _sum2(T.matmul(a, b), T.matmul(sa, sw)), _wsum(T.matmul(sa, sb), Stream(7, "w", "b")))
+        _sum2(T.matmul(a, b), T.matmul(sa, sw)), _wsum(T.matmul(sa, sb), "w", "b"))
 
 
 def _case_add(s):
     a, b = _leaf(s, (3, 4)), _leaf(s, (3, 4))
-    return [a, b], lambda: _wsum(T.add(a, b), Stream(7, "w"))
+    return [a, b], lambda: _wsum(T.add(a, b), "w")
 
 
 def _case_sub(s):
     a, b = _leaf(s, (3, 4)), _leaf(s, (3, 4))
-    return [a, b], lambda: _wsum(T.sub(a, b), Stream(7, "w"))
+    return [a, b], lambda: _wsum(T.sub(a, b), "w")
 
 
 def _case_mul(s):
     a, b = _leaf(s, (3, 4)), _leaf(s, (3, 4))
-    return [a, b], lambda: _wsum(T.mul(a, b), Stream(7, "w"))
+    return [a, b], lambda: _wsum(T.mul(a, b), "w")
 
 
 def _case_neg(s):
     a = _leaf(s, (3, 4))
-    return [a], lambda: _wsum(T.neg(a), Stream(7, "w"))
+    return [a], lambda: _wsum(T.neg(a), "w")
 
 
 def _case_scale(s):
     a = _leaf(s, (3, 4))
-    return [a], lambda: _wsum(T.scale(a, 0.37), Stream(7, "w"))
+    return [a], lambda: _wsum(T.scale(a, 0.37), "w")
 
 
 def _case_add_scalar(s):
     a = _leaf(s, (3, 4))
-    return [a], lambda: _wsum(T.add_scalar(a, 1.25), Stream(7, "w"))
+    return [a], lambda: _wsum(T.add_scalar(a, 1.25), "w")
 
 
 def _case_relu(s):
     raw = s.uniform((4, 5)) * 2.0 - 1.0
     raw = np.where(np.abs(raw) < 0.05, 0.2, raw)  # keep FD away from the kink
     a = Tensor(raw, requires_grad=True)
-    return [a], lambda: _wsum(T.relu(a), Stream(7, "w"))
+    return [a], lambda: _wsum(T.relu(a), "w")
 
 
 def _case_exp(s):
     a = _leaf(s, (3, 4), -1.5, 1.5)
-    return [a], lambda: _wsum(T.exp(a), Stream(7, "w"))
+    return [a], lambda: _wsum(T.exp(a), "w")
 
 
 def _case_log(s):
     a = _leaf(s, (3, 4), 0.2, 3.0)
-    return [a], lambda: _wsum(T.log(a), Stream(7, "w"))
+    return [a], lambda: _wsum(T.log(a), "w")
 
 
 def _case_transpose(s):
@@ -219,7 +227,7 @@ def _case_logsumexp_all(s):
 
 def _case_stack_rows(s):
     rows = [_leaf(s, (4,)) for _ in range(3)]
-    return rows, lambda: _wsum(T.stack_rows(rows), Stream(7, "w"))
+    return rows, lambda: _wsum(T.stack_rows(rows), "w")
 
 
 def _case_concat_cols(s):
@@ -236,17 +244,24 @@ def _case_slice_cols(s):
 def _case_gather_rows(s):
     a = _leaf(s, (5, 3))
     idx = [0, 2, 2, 4]  # repeated row exercises the scatter-add
-    return [a], lambda: _wsum(T.gather_rows(a, idx), Stream(7, "w"))
+    return [a], lambda: _wsum(T.gather_rows(a, idx), "w")
 
 
 def _case_scatter_rows(s):
     a = _leaf(s, (3, 4))
-    return [a], lambda: _wsum(T.scatter_rows(a, [4, 0, 2], 6), Stream(7, "w"))
+    return [a], lambda: _wsum(T.scatter_rows(a, [4, 0, 2], 6), "w")
 
 
 def _case_diag_part(s):
     a = _leaf(s, (4, 4))
-    return [a], lambda: _wsum(T.diag_part(a), Stream(7, "w1"))
+    return [a], lambda: _wsum(T.diag_part(a), "w1")
+
+
+def _case_batch_nce(s):
+    # every row of a [4, 3] pair, then three of another with row 2 dropped
+    z, zp, mz, mzp = (_leaf(s, (4, 3)) for _ in range(4))
+    return [z, zp, mz, mzp], lambda: T.add(T.batch_nce(z, zp, [0, 1, 2, 3], 2.0),
+                                           T.batch_nce(mz, mzp, [0, 1, 3], 2.0))
 
 
 def _case_softmax_rows(s):
@@ -257,7 +272,7 @@ def _case_softmax_rows(s):
 def _case_l2_normalize_rows(s):
     raw = s.uniform((4, 5)) + 0.5  # rows bounded away from zero norm
     a = Tensor(raw, requires_grad=True)
-    return [a], lambda: _wsum(T.l2_normalize_rows(a), Stream(7, "w"))
+    return [a], lambda: _wsum(T.l2_normalize_rows(a), "w")
 
 
 def _case_layer_norm_rows(s):
@@ -290,7 +305,8 @@ OP_CASES = {
     "logsumexp_all": _case_logsumexp_all, "stack_rows": _case_stack_rows,
     "concat_cols": _case_concat_cols, "slice_cols": _case_slice_cols,
     "gather_rows": _case_gather_rows, "scatter_rows": _case_scatter_rows,
-    "diag_part": _case_diag_part, "softmax_rows": _case_softmax_rows,
+    "diag_part": _case_diag_part, "batch_nce": _case_batch_nce,
+    "softmax_rows": _case_softmax_rows,
     "l2_normalize_rows": _case_l2_normalize_rows,
     "layer_norm_rows": _case_layer_norm_rows,
     "cross_entropy_rows": _case_cross_entropy_rows,

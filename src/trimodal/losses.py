@@ -68,8 +68,8 @@ class LossBreakdown:
 def nce(z: Tensor, zp: Tensor, tau: float, mask=None) -> Tensor:
     """Aggregate batch NCE between row-aligned unit matrices [N, d].
 
-    Restricted to masked-in rows; requires at least one. Returns a scalar
-    graph node; exactly 0.0 when a single row survives.
+    Restricted to masked-in rows; requires at least one. Returns one scalar
+    `tensor.batch_nce` node; exactly 0.0 when a single row survives.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -83,14 +83,12 @@ def nce(z: Tensor, zp: Tensor, tau: float, mask=None) -> Tensor:
     if idx.size == 0:
         raise MaskError("nce: empty mask")
     for name, m in (("z", z), ("zp", zp)):
-        norms = np.linalg.norm(m.data[idx], axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-6):
+        rows = m.data[idx]
+        off = np.abs(np.sqrt(np.add.reduce(rows * rows, axis=1)) - 1.0)
+        if (off > 1e-6).any():
             raise ShapeError(f"nce: {name} rows must be unit norm (worst deviation "
-                             f"{np.abs(norms - 1.0).max():.2e})")
-    zs = T.gather_rows(z, idx)
-    zps = T.gather_rows(zp, idx)
-    sims = T.scale(T.matmul(zs, T.transpose(zps)), 1.0 / tau)
-    return T.sub(T.logsumexp_all(sims), T.logsumexp_all(T.diag_part(sims)))
+                             f"{off.max():.2e})")
+    return T.batch_nce(z, zp, idx, 1.0 / tau)
 
 
 def _zero() -> Tensor:
@@ -128,7 +126,7 @@ def compute_centroids(emb: EmbeddingSet) -> CentroidSet:
     n, d = emb.proj[("avt", "v")].shape
     summed = T.add(T.add(emb.proj[("avt", "a")], emb.proj[("avt", "v")]), emb.proj[("avt", "t")])
     mean = T.mul(summed, Tensor(np.tile((1.0 / counts)[:, None], (1, d))))
-    norms = np.linalg.norm(mean.data, axis=1)
+    norms = np.sqrt(np.add.reduce(mean.data * mean.data, axis=1))
     ok = norms > 1e-9
     valid = (counts >= 2.0) & ok
     if not ok.all():

@@ -12,16 +12,19 @@ Row-structured ops (`matmul`, `linear`, `linear_relu`, `attention`,
 array: a leading batch axis stacks independent samples, and every sample's
 values are bitwise those of the same op on its own `[T, d]` matrix.
 
-`linear`, `linear_relu`, `attention`, `attention_sublayer` and
-`feedforward_sublayer` are composite nodes: each gives the bits of the small
-graph it stands for (`matmul` then `add_rowvec`; `linear` then `relu`;
-per-head `slice_cols`, `matmul`, `transpose`, `scale`, `softmax_rows` and
-`concat_cols`; a post-norm transformer sublayer of `linear`, `attention` or
-`relu`, `add` and `layer_norm_rows` nodes), with the same numpy expressions
-forward and backward, and keeps only its output and what its backward
-cannot cheaply rebuild: the attention probabilities and a norm's scaled rows
-and scales. Everything else (head splits, q, k, v, the heads' output, the
-ReLU hidden) is rebuilt in backward from the node's parents. The small graph
+`linear`, `linear_relu`, `attention`, `attention_sublayer`,
+`feedforward_sublayer` and `batch_nce` are composite nodes: each gives the
+bits of the small graph it stands for (`matmul` then `add_rowvec`; `linear`
+then `relu`; per-head `slice_cols`, `matmul`, `transpose`, `scale`,
+`softmax_rows` and `concat_cols`; a post-norm transformer sublayer of
+`linear`, `attention` or `relu`, `add` and `layer_norm_rows` nodes; an NCE
+term of `gather_rows`, `transpose`, `matmul`, `scale`, `diag_part`,
+`logsumexp_all` and `sub` nodes), with the same numpy expressions forward
+and backward, and keeps only its output and what its backward cannot
+cheaply rebuild: the attention probabilities, a norm's scaled rows and
+scales, and an NCE term's shifted exponentials. Everything else (head
+splits, q, k, v, the heads' output, the ReLU hidden, the gathered rows) is
+rebuilt in backward from the node's parents. The small graph
 summed an inner node's gradient into a zero-filled buffer of `backward`;
 skipping that sum can change only the sign of a zero, in it and in what is
 computed from it, and `backward` sums every gradient a node returns into
@@ -29,9 +32,14 @@ such a buffer, where -0.0 becomes +0.0. A composite node still makes that
 sum (`_summed`) where the inner gradient is a strided view, and adds
 gradients for one input in the order `backward` did, so every gradient
 keeps its bits. The model builds its layers from these nodes and
-`add_const`; `add`, `relu`, `layer_norm_rows`, `add_rowvec`, `slice_cols`,
-`concat_cols` and `attention` remain as ops of their own, with
-gradient-check cases, but no layer calls them.
+`add_const`, and its NCE terms from `batch_nce`; `relu`, `layer_norm_rows`,
+`add_rowvec`, `slice_cols`, `concat_cols`, `attention`, `matmul`,
+`transpose`, `diag_part`, `logsumexp_all` and `sub` remain as ops of their
+own, with gradient-check cases, but the model does not call them.
+
+Forward reductions call the ufuncs' own `reduce` (`np.add.reduce(x, axis) /
+n` for a mean), the loops the `ndarray` methods run, without the methods'
+per-call wrapper cost.
 
 Design constraints honoured throughout:
   * float64 only, row-major storage;
@@ -564,21 +572,68 @@ def mean_axis0(x: Tensor) -> Tensor:
         raise ShapeError(f"mean_axis0: expected non-empty [..., n, d], got {x.shape}")
     n = x.shape[-2]
     return _node(
-        x.data.mean(axis=-2),
+        np.add.reduce(x.data, axis=-2) / n,
         (x,),
         lambda g: (np.repeat(np.expand_dims(g / n, -2), n, axis=-2),),
         "mean_axis0",
     )
 
 
+def _logsumexp(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """log(sum(exp(x))) over every element, max-shifted for stability, with
+    the shifted exponentials `e` and their sum `s`: the softmax is `e / s`."""
+    m = np.maximum.reduce(x, axis=None)
+    e = np.exp(x - m)
+    s = np.add.reduce(e, axis=None)
+    return np.asarray(m + np.log(s)), e, s
+
+
 def logsumexp_all(x: Tensor) -> Tensor:
     """log(sum(exp(x))) over every element, max-shifted for stability."""
-    m = x.data.max()
-    e = np.exp(x.data - m)
-    s = e.sum()
-    out = np.asarray(m + np.log(s))
-    soft = e / s
-    return _node(out, (x,), lambda g: (float(g) * soft,), "logsumexp_all")
+    out, e, s = _logsumexp(x.data)
+    return _node(out, (x,), lambda g: (float(g) * (e / s),), "logsumexp_all")
+
+
+def batch_nce(z: Tensor, zp: Tensor, idx, c: float) -> Tensor:
+    """The aggregate batch NCE of rows `idx` of `[N, d]` matrices `z`, `zp`,
+    with similarities `z_i . zp_j` scaled by `c`, as one node: logsumexp over
+    every (i, j) pair minus logsumexp over the matched (i, i) pairs.
+
+    Bitwise the graph `sub(logsumexp_all(sims), logsumexp_all(diag_part(sims)))`
+    with `sims = scale(matmul(gather_rows(z, idx), transpose(gather_rows(zp,
+    idx))), c)`, forward and backward: the product reads a contiguous copy of
+    the gathered `zp` rows transposed, as the `transpose` node made, and the
+    graph's non-finite screens that can fire (the scaled similarities and the
+    result) are kept. It keeps both terms' shifted exponentials and sums;
+    backward rebuilds the gathered rows from `z` and `zp`, its parents. Where
+    the graph summed an inner gradient into a zero-filled buffer, only the
+    sign of a zero can differ, and `backward`'s own sum clears it."""
+    if z.data.ndim != 2 or zp.shape != z.shape:
+        raise ShapeError(f"batch_nce: need matching [N, d] matrices, got {z.shape} and {zp.shape}")
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.ndim != 1 or idx.size == 0 or idx.min() < 0 or idx.max() >= z.shape[0]:
+        raise ShapeError(f"batch_nce: need a non-empty 1-D index list into {z.shape[0]} rows")
+    c = float(c)
+
+    def gathered() -> tuple[np.ndarray, np.ndarray]:
+        return z.data[idx], np.ascontiguousarray(_swap(zp.data[idx]))
+
+    sims = np.matmul(*gathered())
+    sims *= c
+    out, e, s = _logsumexp(_ensure_finite(sims, "batch_nce"))
+    diag, de, ds = _logsumexp(np.diagonal(sims))
+
+    def back(g):
+        g = float(g)
+        gsims = g * (e / s)
+        gsims.reshape(-1)[::idx.size + 1] += -g * (de / ds)  # the diagonal
+        gzs, gzpt = _matmul_grads(*gathered(), gsims * c)
+        gz, gzp = np.zeros_like(z.data), np.zeros_like(zp.data)
+        np.add.at(gz, idx, gzs)  # `gather_rows`' scatter-add: a repeated row sums
+        np.add.at(gzp, idx, _swap(gzpt))
+        return gz, gzp
+
+    return _node(np.asarray(out - diag), (z, zp), back, "batch_nce")
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +648,7 @@ def stack_rows(rows: Sequence[Tensor]) -> Tensor:
     for r in rows:
         if r.data.ndim != 1 or r.shape != d:
             raise ShapeError("stack_rows: rows must be 1-D and equal length")
-    out = np.stack([r.data for r in rows], axis=0)
+    out = np.array([r.data for r in rows])
     return _node(
         out,
         tuple(rows),
@@ -693,9 +748,9 @@ def softmax_rows(x: Tensor) -> Tensor:
 
 
 def _softmax_last(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
+    shifted = x - np.maximum.reduce(x, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def _softmax_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -710,7 +765,7 @@ def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
         raise ShapeError(f"l2_normalize_rows: expected 2-D, got {x.shape}")
     # `np.linalg.norm(x, axis=1, keepdims=True)` without its Python wrapper
     norms = np.sqrt(np.add.reduce(x.data * x.data, axis=1, keepdims=True))
-    if np.any(norms <= eps):
+    if (norms <= eps).any():
         raise DegenerateVectorError("l2_normalize_rows: row with (near-)zero norm")
     y = x.data / norms
 
@@ -724,7 +779,7 @@ def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
 def _standardize(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Each row of `[..., n, d]` centred and scaled to unit variance over its
     last axis, and the scales: `(xhat, inv)`."""
-    xhat = x - x.mean(axis=-1, keepdims=True)
+    xhat = x - np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
     # `x.var(axis=-1)` computes exactly this, from its own copy of `x - mu`
     inv = 1.0 / np.sqrt(np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / x.shape[-1] + eps)
     xhat *= inv

@@ -77,5 +77,7 @@ class TestOpCoverage:
         fused = [s for s in man.samples("test1") if s.audio is not None]
         embed_frozen(stack, [s.video for s in fused], [s.audio for s in fused])
         assert {"attention_sublayer", "feedforward_sublayer", "linear", "linear_relu",
-                "add_const"} <= seen
+                "add_const", "batch_nce"} <= seen
+        # each NCE term is one node: the chain it replaced is off the model path
+        assert not {"matmul", "transpose", "sub", "logsumexp_all", "diag_part"} & seen
         assert seen - set(OP_CASES) <= self.UNCHECKED, sorted(seen - set(OP_CASES))

@@ -9,8 +9,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from trimodal import config as cfg_mod
 from trimodal import tensor as T
+from trimodal.data import generate_synthetic, make_batches
 from trimodal.encoders import EmbeddingSet
 from trimodal.errors import ConfigError, MaskError, ShapeError
 from trimodal.gradcheck import max_rel_err, tiny_training_setup
@@ -103,6 +107,21 @@ class TestNce:
         with pytest.raises(ShapeError):
             nce(z, z, 1.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(row=st.integers(0, 3), off=st.floats(-4e-6, 4e-6), which=st.sampled_from(["z", "zp"]))
+    @example(row=2, off=2e-6, which="z")
+    @example(row=0, off=-2e-6, which="zp")
+    def test_unit_norm_check_raises_where_linalg_norm_says(self, row, off, which):
+        s = Stream(66, "unit")
+        rows = {"z": unit_rows(s, 4, 5), "zp": unit_rows(s, 4, 5)}
+        rows[which][row] *= 1.0 + off
+        worst = max(np.abs(np.linalg.norm(m, axis=1) - 1.0).max() for m in rows.values())
+        if worst > 1e-6:
+            with pytest.raises(ShapeError, match="unit norm"):
+                nce(Tensor(rows["z"]), Tensor(rows["zp"]), 0.07)
+        else:
+            nce(Tensor(rows["z"]), Tensor(rows["zp"]), 0.07)
+
     def test_permutation_invariance(self):
         s = Stream(3, "perm")
         z, zp = unit_rows(s, 8, 5), unit_rows(s, 8, 5)
@@ -126,6 +145,85 @@ class TestNce:
             return nce(T.l2_normalize_rows(raw), zp, 0.5)
 
         assert max_rel_err([raw], forward) < 1e-4
+
+
+def nce_chain(z: Tensor, zp: Tensor, idx, c: float) -> Tensor:
+    """The nine-node graph `tensor.batch_nce` stands for: its bitwise reference."""
+    sims = T.scale(T.matmul(T.gather_rows(z, idx), T.transpose(T.gather_rows(zp, idx))), c)
+    return T.sub(T.logsumexp_all(sims), T.logsumexp_all(T.diag_part(sims)))
+
+
+def half_mask(n: int, seed: int) -> np.ndarray:
+    mask = np.zeros(n, dtype=bool)
+    mask[Stream(seed, "half").permutation(n)[:n // 2]] = True
+    return mask
+
+
+class TestBatchNceNode:
+    """`tensor.batch_nce` against the chain it stands for, at the desk shapes
+    (N 32, d_proj 32, tau 0.07): the same bytes, forward and backward."""
+
+    def _run(self, build, z0, zp0, mask):
+        z, zp = Tensor(z0, requires_grad=True), Tensor(zp0, requires_grad=True)
+        out = build(z, zp, np.flatnonzero(mask), 1.0 / 0.07)
+        T.backward(T.scale(out, 0.7))  # an upstream gradient other than 1
+        return out, z.grad, zp.grad
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_bytes_equal_the_chain(self, masked):
+        s = Stream(61, "nce-node", int(masked))
+        z0, zp0 = unit_rows(s, 32, 32), unit_rows(s, 32, 32)
+        mask = half_mask(32, 62) if masked else np.ones(32, dtype=bool)
+        out, gz, gzp = self._run(T.batch_nce, z0, zp0, mask)
+        want_out, want_gz, want_gzp = self._run(nce_chain, z0, zp0, mask)
+        assert out.data.tobytes() == want_out.data.tobytes()
+        assert gz.tobytes() == want_gz.tobytes()
+        assert gzp.tobytes() == want_gzp.tobytes()
+
+    def test_repeated_rows_sum_their_gradients_as_the_chain(self):
+        s = Stream(67, "nce-node")
+        z0, zp0 = unit_rows(s, 6, 4), unit_rows(s, 6, 4)
+        idx = [4, 0, 4, 2]
+        got = self._run(lambda z, zp, _, c: T.batch_nce(z, zp, idx, c), z0, zp0, np.ones(6))
+        want = self._run(lambda z, zp, _, c: nce_chain(z, zp, idx, c), z0, zp0, np.ones(6))
+        for a, b in zip((got[0].data, *got[1:]), (want[0].data, *want[1:])):
+            assert a.tobytes() == b.tobytes()
+
+    def test_masked_rows_get_exactly_zero_gradient(self):
+        s = Stream(63, "nce-node")
+        mask = half_mask(32, 64)
+        _, gz, gzp = self._run(T.batch_nce, unit_rows(s, 32, 32), unit_rows(s, 32, 32), mask)
+        for g in (gz, gzp):
+            assert g[~mask].tobytes() == np.zeros((16, 32)).tobytes()  # +0.0 only
+            assert np.all(g[mask].any(axis=1))
+
+    def test_single_survivor_is_zero_with_zero_gradients(self):
+        s = Stream(65, "nce-node")
+        mask = np.zeros(32, dtype=bool)
+        mask[5] = True
+        out, gz, gzp = self._run(T.batch_nce, unit_rows(s, 32, 32), unit_rows(s, 32, 32), mask)
+        assert out.item() == 0.0
+        assert not gz.any() and not gzp.any()
+
+    def test_default_batch_projection_gradients_equal_the_chain(self, tmp_path, monkeypatch):
+        cfg = cfg_mod.resolve_config()
+        man = generate_synthetic(cfg_mod.synthetic_config(cfg), tmp_path / "ds")
+        stack = cfg_mod.encoder_stack(cfg, 1)
+        loss_cfg = cfg_mod.loss_config(cfg)
+        batch = make_batches(man, "train", cfg["train"]["batch_size"], 1, 0)[0]
+        with T.no_grad():
+            emb = stack.embed_batch(batch)
+
+        def grads():
+            proj = {k: Tensor(v.data, requires_grad=True) for k, v in emb.proj.items()}
+            leaves = EmbeddingSet(proj=proj, avail_a=emb.avail_a, avail_t=emb.avail_t)
+            total = loss_total(leaves, compute_centroids(leaves), loss_cfg).total
+            T.backward(total)
+            return [total.data.tobytes()] + [proj[k].grad.tobytes() for k in sorted(proj)]
+
+        got = grads()
+        monkeypatch.setattr(T, "batch_nce", nce_chain)
+        assert got == grads()
 
 
 class TestCrossModalTerms:

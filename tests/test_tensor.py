@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from trimodal import tensor as T
 from trimodal.errors import DegenerateVectorError, GraphError, NumericError, ShapeError
@@ -14,6 +17,14 @@ from trimodal.tensor import Tensor, backward
 
 def leaf(arr):
     return Tensor(np.asarray(arr, dtype=float), requires_grad=True)
+
+
+# A row `[1, d]`, a column `[n, 1]` or a stack `[B, T, d]` of finite floats
+_REDUCED = st.one_of(
+    st.tuples(st.just(1), st.integers(1, 9)),
+    st.tuples(st.integers(1, 9), st.just(1)),
+    st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 9)),
+).flatmap(lambda shape: arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)))
 
 
 class TestTensorBasics:
@@ -396,6 +407,32 @@ class TestNumpyEquivalents:
         want = (x - mu) * (1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)) * gamma + beta
         got = T.layer_norm_rows(Tensor(x), Tensor(gamma), Tensor(beta), 1e-5).data
         assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(x=_REDUCED)
+    @example(x=np.zeros((1, 3)))  # a zero row: `l2_normalize_rows` must still refuse it
+    def test_ufunc_reductions_keep_the_method_bits(self, x):
+        assert T.mean_axis0(Tensor(x)).data.tobytes() == x.mean(axis=-2).tobytes()
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        softmax = e / e.sum(axis=-1, keepdims=True)
+        assert T.softmax_rows(Tensor(x)).data.tobytes() == softmax.tobytes()
+        xhat, inv = T._standardize(x, 1e-5)
+        want_inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+        assert inv.tobytes() == want_inv.tobytes()
+        assert xhat.tobytes() == ((x - x.mean(axis=-1, keepdims=True)) * want_inv).tobytes()
+        m = x.max()
+        e = np.exp(x - m)
+        lse = np.asarray(m + np.log(e.sum()))
+        assert T.logsumexp_all(Tensor(x)).data.tobytes() == lse.tobytes()
+        rows = x.reshape(-1, x.shape[-1])
+        stacked = T.stack_rows([Tensor(r) for r in rows]).data
+        assert stacked.tobytes() == np.stack(list(rows), axis=0).tobytes()
+        norms = np.linalg.norm(rows, axis=1, keepdims=True)
+        if np.all(norms > 1e-12):
+            assert T.l2_normalize_rows(Tensor(rows)).data.tobytes() == (rows / norms).tobytes()
+        else:
+            with pytest.raises(DegenerateVectorError):
+                T.l2_normalize_rows(Tensor(rows))
 
     @pytest.mark.parametrize("shape", [(1, 1), (4, 7), (9, 64)])
     def test_row_norms_use_linalg_norm_bits(self, shape):
