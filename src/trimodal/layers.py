@@ -3,8 +3,8 @@ transformer encoder stacks, token embeddings, positional encoding, pooling.
 
 An encoder block is two graph nodes, one per post-norm sublayer
 (`tensor.attention_sublayer` and `tensor.feedforward_sublayer`). Each keeps
-its output, its norm's scales and, for attention, the probabilities; its
-backward rebuilds the projections, the heads' output and the ReLU hidden
+only its output; its backward rebuilds the projections, the probabilities,
+the heads' output, the ReLU hidden, the residual sum and the norm's scales
 from its input.
 
 Sequence layers take `[..., T, d]`: a `[T, d]` sample, or `[B, T, d]` for B
@@ -79,7 +79,7 @@ class LayerNorm:
 
     def forward(self, x: Tensor, ff1: Linear, ff2: Linear) -> Tensor:
         """LN(x + relu(x W1 + b1) W2 + b2) as one `tensor.feedforward_sublayer`
-        node, which keeps neither the hidden nor the sum."""
+        node, which keeps only its output."""
         return T.feedforward_sublayer(x, ff1.W, ff1.b, ff2.W, ff2.b, self.gamma, self.beta,
                                       self.eps)
 
@@ -104,8 +104,7 @@ class MultiHeadAttention:
 
     def forward(self, x: Tensor, norm: LayerNorm) -> Tensor:
         """LN(x + MHA(x) Wo + bo) under `norm`, as one
-        `tensor.attention_sublayer` node, which keeps the probabilities and
-        none of q, k, v, the heads' output or the sum."""
+        `tensor.attention_sublayer` node, which keeps only its output."""
         if x.data.ndim < 2 or x.shape[-1] != self.d_model:
             raise ShapeError(f"attention input must be [..., T, {self.d_model}], got {x.shape}")
         return T.attention_sublayer(x, self.Wq.W, self.Wq.b, self.Wk.W, self.Wk.b,
@@ -125,11 +124,10 @@ class EncoderBlock:
     (`tensor.feedforward_sublayer`). Values and gradients are bitwise those
     of the unfused graph (`linear`, `attention`, `add`, `relu` and
     `layer_norm_rows` nodes, twelve in all). Per [T, d] sample the graph
-    keeps the two [T, d] outputs, the attention probabilities [H, T, T], and
-    each norm's `xhat` [T, d] and `inv` [T, 1]: 8 (4 T d + H T^2 + 2 T)
-    bytes, against 8 (12 T d + 2 T d_ff + H T^2 + 2 T) + T d_ff unfused. The
-    rest (q, k, v, the heads' output and the ReLU hidden) is rebuilt from
-    the sublayer's input in backward.
+    keeps the two [T, d] outputs, 8 * 2 T d bytes, against 8 (12 T d + 2 T
+    d_ff + H T^2 + 2 T) + T d_ff unfused. The rest (q, k, v, the attention
+    probabilities, the heads' output, the ReLU hidden, the residual sums and
+    each norm's scales) is rebuilt from the sublayer's input in backward.
     """
 
     def __init__(self, d_model: int, n_heads: int, d_ff: int, seed: int, name: str):

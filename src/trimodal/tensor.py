@@ -3,7 +3,8 @@
 Every value in the package lives in a `Tensor`. Ops are plain functions that
 compute the forward result with numpy and attach a closure producing the
 parent gradients; `backward` walks the recorded graph in reverse topological
-order. Graphs are rebuilt each step and never cached.
+order and frees each node's closure and parent links once it has run, so a
+graph serves one `backward`. Graphs are rebuilt each step and never cached.
 
 Row-structured ops (`matmul`, `linear`, `linear_relu`, `attention`,
 `attention_sublayer`, `feedforward_sublayer`, `transpose`, `add_rowvec`,
@@ -21,10 +22,12 @@ then `relu`; per-head `slice_cols`, `matmul`, `transpose`, `scale`,
 term of `gather_rows`, `transpose`, `matmul`, `scale`, `diag_part`,
 `logsumexp_all` and `sub` nodes), with the same numpy expressions forward
 and backward, and keeps only its output and what its backward cannot
-cheaply rebuild: the attention probabilities, a norm's scaled rows and
-scales, and an NCE term's shifted exponentials. Everything else (head
-splits, q, k, v, the heads' output, the ReLU hidden, the gathered rows) is
-rebuilt in backward from the node's parents. The small graph
+cheaply rebuild: `attention`'s probabilities and an NCE term's shifted
+exponentials. The two sublayers keep their output alone. Everything else
+(head splits, q, k, v, the probabilities, the heads' output, the ReLU
+hidden, the residual sum, a norm's scaled rows and scales, the gathered
+rows) is rebuilt in backward from the node's parents by the forward's own
+expressions, so it has the forward's bits. The small graph
 summed an inner node's gradient into a zero-filled buffer of `backward`;
 skipping that sum can change only the sign of a zero, in it and in what is
 computed from it, and `backward` sums every gradient a node returns into
@@ -37,9 +40,9 @@ keeps its bits. The model builds its layers from these nodes and
 `transpose`, `diag_part`, `logsumexp_all` and `sub` remain as ops of their
 own, with gradient-check cases, but the model does not call them.
 
-Forward reductions call the ufuncs' own `reduce` (`np.add.reduce(x, axis) /
-n` for a mean), the loops the `ndarray` methods run, without the methods'
-per-call wrapper cost.
+Reductions, forward and backward, call the ufuncs' own `reduce`
+(`np.add.reduce(x, axis) / n` for a mean), the loops the `ndarray` methods
+run, without the methods' per-call wrapper cost.
 
 Design constraints honoured throughout:
   * float64 only, row-major storage;
@@ -167,6 +170,8 @@ def _node(arr: np.ndarray, parents: tuple[Tensor, ...], backward: Callable, op: 
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
+    """The nodes reachable from `root`, parents before children; raises if
+    `backward` already ran through one of them, whose graph is freed."""
     order: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -177,6 +182,8 @@ def _toposort(root: Tensor) -> list[Tensor]:
             continue
         if id(node) in seen:
             continue
+        if node._consumed:
+            raise GraphError("backward already ran on this graph; rebuild it first")
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
@@ -188,36 +195,48 @@ def _toposort(root: Tensor) -> list[Tensor]:
 def backward(loss: Tensor) -> None:
     """Populate `.grad` on every requires_grad leaf reachable from `loss`.
 
-    `loss` must be scalar. A second call on the same root raises: the graph
-    is single-shot and must be rebuilt before differentiating again.
+    `loss` must be scalar. The graph is single-shot and freed as the walk
+    runs: once a node's backward has run, its gradient, closure and parent
+    links are dropped and it is marked consumed. Every child of a node runs
+    before the node, so nothing reads a dropped node again. When `backward`
+    returns, only the leaves' gradients and the nodes' values remain, and a
+    later call that reaches a consumed node (the root or any node inside)
+    raises: rebuild the graph before differentiating again.
     """
     if loss.shape != ():
         raise GraphError(f"backward root must be scalar, got shape {loss.shape}")
-    if loss._consumed:
-        raise GraphError("backward already ran on this graph; rebuild it first")
+    order = _toposort(loss)
     loss._consumed = True
     if not loss.requires_grad:
         return
-    order = _toposort(loss)
     loss.grad = np.ones((), dtype=np.float64)
-    for node in reversed(order):
-        if node._backward is None:
+    while order:
+        _backprop(order.pop())
+
+
+def _backprop(node: Tensor) -> None:
+    """Run one node's backward: free the node's gradient, closure and parent
+    links, mark it consumed, and sum the gradients its closure returns into
+    its parents' `.grad`. A leaf is left as it is. A function of its own, so
+    those gradients are released before the next node's backward runs."""
+    back, parents = node._backward, node._parents
+    if back is None:
+        return
+    g, node.grad = node.grad, None
+    node._backward, node._parents, node._consumed = None, (), True
+    if g is None:  # branch never contributed to the root
+        return
+    pgrads = back(g)
+    if _GRAD_FAULTS:
+        fault = _GRAD_FAULTS.get(node._op)
+        if fault is not None:
+            pgrads = tuple(None if pg is None else pg * fault for pg in pgrads)
+    for p, pg in zip(parents, pgrads):
+        if pg is None or not p.requires_grad:
             continue
-        g = node.grad
-        if g is None:  # branch never contributed to the root
-            continue
-        pgrads = node._backward(g)
-        if _GRAD_FAULTS:
-            fault = _GRAD_FAULTS.get(node._op)
-            if fault is not None:
-                pgrads = tuple(None if pg is None else pg * fault for pg in pgrads)
-        for p, pg in zip(node._parents, pgrads):
-            if pg is None or not p.requires_grad:
-                continue
-            if p.grad is None:
-                p.grad = np.zeros_like(p.data)
-            p.grad += pg
-        node.grad = None  # free intermediate buffers
+        if p.grad is None:
+            p.grad = np.zeros_like(p.data)
+        p.grad += pg
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +328,7 @@ def _matmul_grads(a: np.ndarray, b: np.ndarray, g: np.ndarray) -> tuple:
     """The gradients of `a @ b` for upstream `g`."""
     gb = _swap(a) @ g
     if gb.ndim > b.ndim:  # a shared weight sums its per-matrix gradients
-        gb = gb.reshape(-1, *b.shape).sum(axis=0)
+        gb = np.add.reduce(gb.reshape(-1, *b.shape), axis=0)
     return (g @ _swap(b), gb)
 
 
@@ -354,7 +373,7 @@ def _product(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _product_grads(x: np.ndarray, W: np.ndarray, g: np.ndarray) -> tuple:
     """The gradients of `x @ W + b` for upstream `g`: `matmul`'s, then
     `add_rowvec`'s bias sum."""
-    return (*_matmul_grads(x, W, g), g.reshape(-1, W.shape[1]).sum(axis=0))
+    return (*_matmul_grads(x, W, g), np.add.reduce(g.reshape(-1, W.shape[1]), axis=0))
 
 
 def _summed(g: np.ndarray) -> np.ndarray:
@@ -467,12 +486,13 @@ def attention_sublayer(x: Tensor, Wq: Tensor, bq: Tensor, Wk: Tensor, bk: Tensor
     Bitwise the graph `layer_norm_rows(add(x, linear(attention(linear(x, Wq,
     bq), linear(x, Wk, bk), linear(x, Wv, bv), n_heads), Wo, bo)), gamma,
     beta, eps)`, forward and backward, with that graph's non-finite screens
-    (q, k, v, the heads' output and the residual sum). It keeps the `[...,
-    H, T, T]` probabilities and the norm's `xhat` and `inv`. Backward
-    rebuilds q, k, v and the heads' output from `x`, a parent; it sums q's,
-    k's and v's gradients into zero-filled buffers before their products
-    read them, as the graph did, and adds `x`'s four contributions in the
-    graph's order (norm, q, k, v)."""
+    (q, k, v, the heads' output and the residual sum). It keeps only its
+    output. Backward reruns the forward's own expressions on `x` and the
+    weights, its parents: q, k, v, the `[..., H, T, T]` probabilities, the
+    heads' output, the residual sum and the norm's `xhat` and `inv`. It sums
+    q's, k's and v's gradients into zero-filled buffers before their
+    products read them, as the graph did, and adds `x`'s four contributions
+    in the graph's order (norm, q, k, v)."""
     op = "attention_sublayer"
     _check_heads(x.shape, n_heads, op)
     d = x.shape[-1]
@@ -483,17 +503,19 @@ def attention_sublayer(x: Tensor, Wq: Tensor, bq: Tensor, Wk: Tensor, bk: Tensor
                              f"got {W.shape} + {b.shape}")
     _check_norm(d, gamma, beta, op)
     c = 1.0 / math.sqrt(d // n_heads)
-    q, k, v = (_ensure_finite(_product(x.data, W.data, b.data), op) for W, b in projections)
-    p = _attention_probs(q, k, n_heads, c)
-    s = _product(_ensure_finite(_merge_heads(p @ _split_heads(v, n_heads)), op),
-                 Wo.data, bo.data)
-    s += x.data
-    xhat, inv = _standardize(_ensure_finite(s, op), eps)
+
+    def pre_norm() -> tuple:
+        """q, k, v, the probabilities, the heads' output and the residual sum."""
+        qkv = [_ensure_finite(_product(x.data, W.data, b.data), op) for W, b in projections]
+        p = _attention_probs(qkv[0], qkv[1], n_heads, c)
+        heads = _ensure_finite(_merge_heads(p @ _split_heads(qkv[2], n_heads)), op)
+        s = _product(heads, Wo.data, bo.data)
+        s += x.data
+        return qkv, p, heads, _ensure_finite(s, op)
 
     def back(g):
-        dx, dgamma, dbeta = _standardize_grads(g, xhat, inv, gamma.data)
-        qkv = [_product(x.data, W.data, b.data) for W, b in projections]
-        heads = _merge_heads(p @ _split_heads(qkv[2], n_heads))
+        qkv, p, heads, s = pre_norm()
+        dx, dgamma, dbeta = _standardize_grads(g, *_standardize(s, eps), gamma.data)
         dheads, dWo, dbo = _product_grads(heads, Wo.data, dx)
         grads = []
         for (W, _), ga in zip(projections, _attention_grads(p, *qkv, dheads, n_heads, c)):
@@ -502,6 +524,7 @@ def attention_sublayer(x: Tensor, Wq: Tensor, bq: Tensor, Wk: Tensor, bk: Tensor
             grads += [dW, db]
         return (dx, *grads, dWo, dbo, dgamma, dbeta)
 
+    xhat = _standardize(pre_norm()[3], eps)[0]
     return _node(xhat * gamma.data + beta.data,
                  (x, Wq, bq, Wk, bk, Wv, bv, Wo, bo, gamma, beta), back, op)
 
@@ -514,8 +537,9 @@ def feedforward_sublayer(x: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tens
     Bitwise the graph `layer_norm_rows(add(x, linear(linear_relu(x, W1, b1),
     W2, b2)), gamma, beta, eps)`, forward and backward, with that graph's
     non-finite screens (the pre-activation and the residual sum). It keeps
-    the norm's `xhat` and `inv`; backward rebuilds the ReLU hidden from `x`,
-    a parent, and its mask from the hidden, as `linear_relu` does."""
+    only its output. Backward reruns the forward's own expressions on `x`
+    and the weights, its parents: the ReLU hidden, the residual sum and the
+    norm's `xhat` and `inv`; the mask is `hidden > 0`, as in `linear_relu`."""
     op = "feedforward_sublayer"
     _check_product(x.data, W1.data, b1.data, op)
     d = x.shape[-1]
@@ -523,21 +547,23 @@ def feedforward_sublayer(x: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tens
         raise ShapeError(f"{op}: W2, b2 must be [{W1.shape[1]}, {d}], [{d}], "
                          f"got {W2.shape}, {b2.shape}")
     _check_norm(d, gamma, beta, op)
-    hidden = _ensure_finite(_product(x.data, W1.data, b1.data), op)
-    hidden *= hidden > 0.0
-    s = _product(hidden, W2.data, b2.data)
-    s += x.data
-    xhat, inv = _standardize(_ensure_finite(s, op), eps)
+
+    def pre_norm() -> tuple:
+        """The ReLU hidden and the residual sum."""
+        hidden = _ensure_finite(_product(x.data, W1.data, b1.data), op)
+        hidden *= hidden > 0.0
+        s = _product(hidden, W2.data, b2.data)
+        s += x.data
+        return hidden, _ensure_finite(s, op)
 
     def back(g):
-        dx, dgamma, dbeta = _standardize_grads(g, xhat, inv, gamma.data)
-        hidden = _product(x.data, W1.data, b1.data)
-        mask = hidden > 0.0
-        hidden *= mask
+        hidden, s = pre_norm()
+        dx, dgamma, dbeta = _standardize_grads(g, *_standardize(s, eps), gamma.data)
         dhidden, dW2, db2 = _product_grads(hidden, W2.data, dx)
-        dxh, dW1, db1 = _product_grads(x.data, W1.data, dhidden * mask)
+        dxh, dW1, db1 = _product_grads(x.data, W1.data, dhidden * (hidden > 0.0))
         return (dx + dxh, dW1, db1, dW2, db2, dgamma, dbeta)
 
+    xhat = _standardize(pre_norm()[1], eps)[0]
     return _node(xhat * gamma.data + beta.data, (x, W1, b1, W2, b2, gamma, beta), back, op)
 
 
@@ -548,7 +574,7 @@ def add_rowvec(x: Tensor, b: Tensor) -> Tensor:
     return _node(
         x.data + b.data,
         (x, b),
-        lambda g: (g, g.reshape(-1, b.shape[0]).sum(axis=0)),
+        lambda g: (g, np.add.reduce(g.reshape(-1, b.shape[0]), axis=0)),
         "add_rowvec",
     )
 
@@ -559,7 +585,7 @@ def add_rowvec(x: Tensor, b: Tensor) -> Tensor:
 
 def sum_all(a: Tensor) -> Tensor:
     return _node(
-        np.asarray(a.data.sum()),
+        np.asarray(np.add.reduce(a.data, axis=None)),
         (a,),
         lambda g: (np.full_like(a.data, float(g)),),
         "sum_all",
@@ -755,7 +781,7 @@ def _softmax_last(x: np.ndarray) -> np.ndarray:
 
 def _softmax_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The gradient through softmax output `p` for upstream `g`."""
-    inner = (g * p).sum(axis=-1, keepdims=True)
+    inner = np.add.reduce(g * p, axis=-1, keepdims=True)
     return p * (g - inner)
 
 
@@ -770,7 +796,7 @@ def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
     y = x.data / norms
 
     def back(g):
-        inner = (g * y).sum(axis=1, keepdims=True)
+        inner = np.add.reduce(g * y, axis=1, keepdims=True)
         return ((g - inner * y) / norms,)
 
     return _node(y, (x,), back, "l2_normalize_rows")
@@ -790,11 +816,11 @@ def _standardize_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
                        gamma: np.ndarray) -> tuple:
     """The gradients of `xhat * gamma + beta` for upstream `g`: input, gamma, beta."""
     d = xhat.shape[-1]
-    dgamma = (g * xhat).reshape(-1, d).sum(axis=0)
-    dbeta = g.reshape(-1, d).sum(axis=0)
+    dgamma = np.add.reduce((g * xhat).reshape(-1, d), axis=0)
+    dbeta = np.add.reduce(g.reshape(-1, d), axis=0)
     dxhat = g * gamma
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+    m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d
     return inv * (dxhat - m1 - xhat * m2), dgamma, dbeta
 
 

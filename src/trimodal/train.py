@@ -142,9 +142,9 @@ def pretrain(cfg: dict, data_dir, out_path, log_path=None, resume=None) -> Train
                     cents = compute_centroids(emb) if use_centroids else None
                     lb = loss_total(emb, cents, loss_cfg)
                     if lb.total.requires_grad:
-                        adam.zero_grad()
                         backward(lb.total)
                         adam.step(lr)
+                        adam.zero_grad()  # the next forward starts without them
                     else:
                         fully_skipped += 1
                 except NumericError as e:

@@ -1,8 +1,11 @@
 """Layers: linear, attention, encoder blocks, embeddings, pooling."""
 
+import math
+
 import numpy as np
 import pytest
 
+from test_tensor import closure_arrays
 from trimodal import tensor as T
 from trimodal.errors import ShapeError
 from trimodal.gradcheck import max_rel_err
@@ -50,16 +53,6 @@ class TestLinear:
         assert np.array_equal(layer.b.data, np.zeros(20))
 
 
-def kept_probabilities(out):
-    """The `[..., H, T, T]` attention probabilities an `attention_sublayer`
-    node keeps for its backward."""
-    kept = [c.cell_contents for c in out._backward.__closure__
-            if isinstance(c.cell_contents, np.ndarray)
-            and c.cell_contents.ndim == out.data.ndim + 1]
-    assert out._op == "attention_sublayer" and len(kept) == 1
-    return kept[0]
-
-
 class TestAttention:
     def test_single_token_is_projected_value_row(self):
         # one token attends only to itself: LN(x + (x Wv + bv) Wo + bo)
@@ -72,7 +65,10 @@ class TestAttention:
     def test_attention_rows_are_distributions(self):
         mha, ln = MultiHeadAttention(d_model=8, n_heads=2, seed=3, name="attn"), LayerNorm(8, "ln")
         for shape in ((5, 8), (3, 5, 8)):
-            p = kept_probabilities(mha.forward(Tensor(Stream(6, *shape).normal(shape)), ln))
+            x = Tensor(Stream(6, *shape).normal(shape))
+            # the probabilities the sublayer's forward and backward both compute
+            q, k = (lin.forward(x).data for lin in (mha.Wq, mha.Wk))
+            p = T._attention_probs(q, k, 2, 1.0 / math.sqrt(mha.d_head))
             assert p.shape == shape[:-2] + (2, 5, 5) and (p >= 0.0).all()
             assert np.abs(p.sum(axis=-1) - 1.0).max() <= 1e-12
 
@@ -119,9 +115,7 @@ def graph_inside(out):
         nodes.append(t)
         todo.extend(t._parents)
     outputs = {id(t.data) for t in nodes}
-    kept = {id(c.cell_contents): c.cell_contents for t in nodes
-            for c in t._backward.__closure__ or ()
-            if isinstance(c.cell_contents, np.ndarray) and id(c.cell_contents) not in outputs}
+    kept = {id(a): a for t in nodes for a in closure_arrays(t) if id(a) not in outputs}
     return nodes, list(kept.values())
 
 
@@ -169,19 +163,18 @@ class TestEncoderBlock:
         fused = self.run(params, lambda xt: encoder.forward(xt, add_positional=False), x, g)
         assert fused == self.run(params, unfused_encoder, x, g)
 
-    def test_graph_keeps_a_third_less(self):
+    def test_graph_keeps_only_its_two_outputs(self):
         # One [T, d] sample, T = 5, d = 8, H = 2, d_ff = 16, float64. Two
-        # nodes whose outputs are two [T, d] arrays (640 bytes); closures
-        # keep the probabilities [H, T, T] and each norm's xhat [T, d] and
-        # inv [T, 1] (1,120 bytes). The unfused graph has twelve nodes
-        # (4,480 bytes of outputs, 1,200 in closures with the ReLU mask):
-        # 1,760 bytes against 5,680 (31%).
+        # nodes whose outputs are two [T, d] arrays (640 bytes), and nothing
+        # in their closures. The unfused graph has twelve nodes (4,480 bytes
+        # of outputs, 1,200 in closures with the ReLU mask): 640 bytes
+        # against 5,680 (11%).
         block = EncoderBlock(8, 2, 16, seed=21, name="blk")
         x = Tensor(Stream(23).normal((5, 8)), requires_grad=True)
         nodes, kept = graph_inside(block.forward(x))
         assert sorted(t._op for t in nodes) == ["attention_sublayer", "feedforward_sublayer"]
         assert sum(t.data.nbytes for t in nodes) == 640
-        assert sum(a.nbytes for a in kept) == 1120
+        assert kept == []
         nodes, kept = graph_inside(unfused_block(block, x))
         assert len(nodes) == 12
         assert sum(t.data.nbytes for t in nodes) + sum(a.nbytes for a in kept) == 5680

@@ -1,6 +1,7 @@
 """Numeric core: op semantics, gradient rules, graph discipline."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -25,6 +26,9 @@ _REDUCED = st.one_of(
     st.tuples(st.integers(1, 9), st.just(1)),
     st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 9)),
 ).flatmap(lambda shape: arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)))
+# Two such arrays of one shape: an input and an upstream gradient
+_REDUCED_PAIR = _REDUCED.flatmap(
+    lambda x: st.tuples(st.just(x), arrays(np.float64, x.shape, elements=st.floats(-1e3, 1e3))))
 
 
 class TestTensorBasics:
@@ -198,9 +202,17 @@ class TestLinear:
 
 
 def closure_arrays(t):
-    """The numpy arrays a node's backward closure keeps alive."""
-    return [c.cell_contents for c in t._backward.__closure__
-            if isinstance(c.cell_contents, np.ndarray)]
+    """The numpy arrays a node's backward closure keeps alive, also through
+    the functions it closes over."""
+    arrays, todo = [], [t._backward]
+    while todo:
+        for c in todo.pop().__closure__ or ():
+            value = c.cell_contents
+            if isinstance(value, np.ndarray):
+                arrays.append(value)
+            elif isinstance(value, types.FunctionType):
+                todo.append(value)
+    return arrays
 
 
 def attention_graph(x, Wq, bq, Wk, bk, Wv, bv, Wo, bo, gamma, beta, n_heads):
@@ -280,13 +292,12 @@ class TestFusedOps:
         params = [leaf(Stream(64, i).normal(sh)) for i in range(4) for sh in ((4, 4), (4,))]
         out = T.attention_sublayer(x, *params, gamma, beta, 2)
         assert out._op == "attention_sublayer" and out._parents == (x, *params, gamma, beta)
-        # inv, xhat and the probabilities [B, H, T, T]
-        assert sorted(a.shape for a in closure_arrays(out)) == [(2, 2, 3, 3), (2, 3, 1),
-                                                               (2, 3, 4)]
+        # only its output: backward rebuilds the probabilities and the norm's scales
+        assert closure_arrays(out) == []
         ff = [leaf(np.ones((4, 5))), leaf(np.ones(5)), leaf(np.ones((5, 4))), leaf(np.ones(4))]
         out = T.feedforward_sublayer(x, *ff, gamma, beta)
         assert out._op == "feedforward_sublayer" and out._parents == (x, *ff, gamma, beta)
-        assert sorted(a.shape for a in closure_arrays(out)) == [(2, 3, 1), (2, 3, 4)]
+        assert closure_arrays(out) == []
         pos = T.add_const(x, np.ones((3, 4)))
         assert pos._op == "add_const" and pos._parents == (x,)
         assert pos._backward.__closure__ is None  # no copy of the table
@@ -434,6 +445,40 @@ class TestNumpyEquivalents:
             with pytest.raises(DegenerateVectorError):
                 T.l2_normalize_rows(Tensor(rows))
 
+    @settings(max_examples=80, deadline=None)
+    @given(xg=_REDUCED_PAIR)
+    def test_backward_reductions_keep_the_method_bits(self, xg):
+        x, g = xg
+        d = x.shape[-1]
+        W = Stream(55, "w", d).normal((d, d))
+        gx, gW, gb = T._product_grads(x, W, g)
+        assert gx.tobytes() == (g @ W.T).tobytes()
+        gW_want = (np.swapaxes(x, -1, -2) @ g).reshape(-1, d, d).sum(axis=0)
+        assert gW.tobytes() == gW_want.tobytes()
+        assert gb.tobytes() == g.reshape(-1, d).sum(axis=0).tobytes()
+        b = leaf(np.zeros(d))
+        assert T.add_rowvec(leaf(x), b)._backward(g)[1].tobytes() == gb.tobytes()
+        assert T.sum_all(Tensor(x)).data.tobytes() == np.asarray(x.sum()).tobytes()
+        p = T._softmax_last(x)
+        want = p * (g - (g * p).sum(axis=-1, keepdims=True))
+        assert T._softmax_grad(p, g).tobytes() == want.tobytes()
+        xhat, inv = T._standardize(x, 1e-5)
+        gamma = g.reshape(-1, d)[0]
+        dxhat = g * gamma
+        want = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                      - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        dx, dgamma, dbeta = T._standardize_grads(g, xhat, inv, gamma)
+        assert dx.tobytes() == want.tobytes()
+        assert dgamma.tobytes() == (g * xhat).reshape(-1, d).sum(axis=0).tobytes()
+        assert dbeta.tobytes() == gb.tobytes()
+        rows, grows = x.reshape(-1, d), g.reshape(-1, d)
+        norms = np.linalg.norm(rows, axis=1, keepdims=True)
+        if np.all(norms > 1e-12):
+            y = rows / norms
+            want = (grows - (grows * y).sum(axis=1, keepdims=True) * y) / norms
+            got = T.l2_normalize_rows(leaf(rows))._backward(grows)[0]
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("shape", [(1, 1), (4, 7), (9, 64)])
     def test_row_norms_use_linalg_norm_bits(self, shape):
         x = Stream(54, "norm").normal(shape)
@@ -479,6 +524,19 @@ class TestBackward:
         backward(loss)
         with pytest.raises(GraphError):
             backward(loss)
+
+    def test_second_backward_from_inner_node_rejected(self):
+        # the first call consumes every node, so a second call from one
+        # inside the graph cannot add into the leaves again
+        x = leaf([1.0, 2.0])
+        y = T.sum_all(T.mul(x, x))
+        backward(T.scale(y, 3.0))
+        assert x.grad.tolist() == [6.0, 12.0]
+        with pytest.raises(GraphError):
+            backward(y)
+        with pytest.raises(GraphError):  # nor from a new node built on it
+            backward(T.scale(y, 2.0))
+        assert x.grad.tolist() == [6.0, 12.0]
 
     def test_grad_accumulates_across_graphs(self):
         x = leaf([1.0])

@@ -17,13 +17,14 @@ from conftest import TINY_OVERRIDES
 from test_config import _JSON
 import trimodal
 from trimodal import config as cfg_mod
-from trimodal import ltf
+from trimodal import ltf, tensor
 from trimodal import train as train_mod
 from trimodal.checkpoint import _read_archive, _write_archive, load_checkpoint, save_checkpoint
-from trimodal.data import generate_synthetic
+from trimodal.data import generate_synthetic, make_batches
 from trimodal.encoders import EncoderStack
 from trimodal.errors import ConfigError, FormatError, NumericError, TrainingAborted
 from trimodal.evaluate import ProbeHead, load_probe, save_probe
+from trimodal.losses import compute_centroids, loss_total
 from trimodal.rng import Stream
 from trimodal.train import pretrain
 
@@ -81,6 +82,43 @@ class TestMemory:
         res = pretrain(cfg, tiny_dataset.root, tmp_path / "m.lavc")
         assert len(alive_at_forward) == res.steps > 1
         assert not any(alive_at_forward)
+
+    def test_gradients_dropped_before_next_forward(self, tiny_cfg, tiny_dataset, tmp_path,
+                                                   monkeypatch):
+        # `adam.step` is followed by `zero_grad`, so no forward builds its
+        # graph while the last step's gradients are alive
+        grads_at_forward: list[int] = []
+        embed = EncoderStack.embed_batch
+
+        def spy_embed(stack, batch, **kw):
+            grads_at_forward.append(sum(p.grad is not None for _, p in stack.parameters()))
+            return embed(stack, batch, **kw)
+
+        monkeypatch.setattr(EncoderStack, "embed_batch", spy_embed)
+        cfg = cfg_mod.validate({**tiny_cfg, "train": {**tiny_cfg["train"], "epochs": 1}})
+        res = pretrain(cfg, tiny_dataset.root, tmp_path / "m.lavc")
+        assert len(grads_at_forward) == res.steps > 1
+        assert not any(grads_at_forward)
+
+    def test_backward_frees_a_default_batch_graph(self, tmp_path):
+        # When `backward` returns, a sublayer node inside one default
+        # batch's graph is gone, while the caller still holds the
+        # embeddings and the losses, and every parameter has its gradient.
+        cfg = cfg_mod.resolve_config(overrides={"train": {"seed": 1}})
+        man = generate_synthetic(cfg_mod.synthetic_config(cfg), tmp_path / "ds")
+        stack = cfg_mod.encoder_stack(cfg, 1)
+        loss_cfg = cfg_mod.loss_config(cfg)
+        batch = make_batches(man, "train", cfg["train"]["batch_size"], 1, 0)[0]
+        emb = stack.embed_batch(batch, spaces=loss_cfg.enabled_terms)
+        lb = loss_total(emb, compute_centroids(emb), loss_cfg)
+        ref = weakref.ref(next(t for t in tensor._toposort(lb.total)
+                               if t._op == "attention_sublayer"))
+        assert ref() is not None
+        tensor.backward(lb.total)
+        assert ref() is None
+        assert math.isfinite(lb.total.item())
+        assert all(t.shape == (len(batch), stack.d_proj) for t in emb.proj.values())
+        assert all(p.grad is not None for _, p in stack.parameters())
 
 
 class TestAblationConfigs:
